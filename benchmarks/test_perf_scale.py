@@ -14,7 +14,10 @@ The numbers land in ``BENCH_scale.json`` at the repo root.  Acceptance:
   completes in seconds per scheme;
 * simulator time grows near-linearly in P: wall-clock per processor at the
   largest P stays within ``SLACK`` of the first measured point (an O(P^2)
-  structure fails this by ~two orders of magnitude).
+  structure fails this by ~two orders of magnitude);
+* at the largest P no scheme's simulator time exceeds ``MAX_VS_DISTRIBUTED``
+  times the paper scheme's.  The ratio is machine-independent and catches an
+  O(grids x procs) policy scan that the two bounds above still let through.
 
 Environment overrides (the CI ``scale-smoke`` job shrinks the sweep):
 
@@ -50,6 +53,10 @@ DEFAULT_SCHEMES = ("distributed", "sfc:morton", "sfc:hilbert", "diffusion")
 SLACK = 8.0
 #: hard ceiling for one scheme's replay at the largest configuration
 MAX_SECONDS = 60.0
+#: relative ceiling at the largest configuration: a scheme's simulator time
+#: over ``distributed``'s at the same point (an LPT scan over every
+#: processor per grid put diffusion at ~3.5x)
+MAX_VS_DISTRIBUTED = 2.5
 
 
 def _env_tuple(name, default, cast=int):
@@ -143,4 +150,16 @@ def test_simulator_scales_near_linearly(once, benchmark):
                 f"{last_per_proc / first_per_proc:.1f}x from "
                 f"{pts[0]['nprocs']} to {largest['nprocs']} procs -- "
                 "super-linear scaling (an O(P^2) structure?)"
+            )
+
+    top = max(p["nprocs"] for p in record["points"])
+    at_top = {p["scheme"]: p["simulator_seconds"]
+              for p in record["points"] if p["nprocs"] == top}
+    if "distributed" in at_top:
+        base = at_top["distributed"]
+        for scheme, seconds in at_top.items():
+            assert seconds <= MAX_VS_DISTRIBUTED * base, (
+                f"{scheme} at {top} procs took {seconds:.2f}s, "
+                f"{seconds / base:.1f}x distributed's {base:.2f}s (> "
+                f"{MAX_VS_DISTRIBUTED}x): a per-grid scan over processors?"
             )

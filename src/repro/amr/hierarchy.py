@@ -53,8 +53,13 @@ class GridHierarchy:
         self._grids: Dict[int, Grid] = {}
         self._levels: List[List[int]] = [[] for _ in range(max_levels)]
         self._ids = GridIdAllocator()
-        #: bumped on every structural change; consumers key caches on it
+        #: bumped on every structural change; trace manifests record it and
+        #: whole-hierarchy caches key on it
         self.version = 0
+        #: per-level change counters: ``level_versions[l]`` is bumped whenever
+        #: a grid joins or leaves level ``l``, so caches of one level's
+        #: geometry survive changes to other levels
+        self.level_versions: List[int] = [0] * max_levels
 
     # ------------------------------------------------------------------ #
     # construction
@@ -124,6 +129,7 @@ class GridHierarchy:
         self._grids[gid] = grid
         self._levels[level].append(gid)
         self.version += 1
+        self.level_versions[level] += 1
         if parent_gid is not None:
             self._grids[parent_gid]._add_child(gid)
         return grid
@@ -138,6 +144,7 @@ class GridHierarchy:
         self._levels[grid.level].remove(gid)
         del self._grids[gid]
         self.version += 1
+        self.level_versions[grid.level] += 1
 
     def clear_level(self, level: int) -> None:
         """Remove every grid at ``level`` and below (finer).  Level 0 is kept.
@@ -146,7 +153,8 @@ class GridHierarchy:
         ``level``: every level >= ``level`` is dropped wholesale, parents one
         level coarser forget their children, and :attr:`version` advances by
         the number of removed grids (identical to the per-grid path, which
-        trace manifests record and replay verifies).
+        trace manifests record and replay verifies).  Each non-empty cleared
+        level's :attr:`level_versions` entry is bumped.
         """
         if level == 0:
             raise ValueError("cannot clear level 0")
@@ -156,6 +164,7 @@ class GridHierarchy:
             if not gids:
                 continue
             removed += len(gids)
+            self.level_versions[lvl] += 1
             for gid in gids:
                 del self._grids[gid]
             self._levels[lvl] = []

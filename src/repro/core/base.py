@@ -11,7 +11,7 @@ over whatever link separates the two owners and updates the assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..amr.hierarchy import GridHierarchy
 from ..config import SchemeParams, SimParams
@@ -69,9 +69,14 @@ def execute_moves(
         return 0, 0
     messages: List[Message] = []
     cells = 0
+    # Owners as the plan has moved them so far: a plan may move one grid
+    # twice (A->B, then B->C), and its second hop starts where the first
+    # one ended, not where the grid sat before the plan.
+    owner: Dict[int, int] = {}
     for gid, src, dst in moves:
-        if ctx.assignment.pid_of(gid) != src:
+        if owner.get(gid, ctx.assignment.pid_of(gid)) != src:
             raise ValueError(f"move plan stale: grid {gid} is not on {src}")
+        owner[gid] = dst
         grid = ctx.hierarchy.grid(gid)
         cells += grid.migration_cells()
         messages.append(

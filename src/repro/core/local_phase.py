@@ -20,6 +20,7 @@ Two primitives:
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Mapping, Sequence
 
 from ..amr.grid import Grid
@@ -35,16 +36,25 @@ def lpt_assign(
 
     ``targets`` maps pid -> desired workload share.  Each grid goes to the
     processor with the largest remaining deficit (target minus assigned),
-    the classic LPT heuristic.  Returns gid -> pid.
+    the classic LPT heuristic; equal deficits go to the smallest pid.
+    Returns gid -> pid.
+
+    The processors sit in a heap keyed on ``(-deficit, pid)``, so each grid
+    costs O(log procs) instead of a scan over every processor.  Only the
+    popped processor's deficit changes per grid, so the heap always holds
+    exactly one current entry per processor.
     """
     if not targets:
         raise ValueError("targets must be non-empty")
     loads = {pid: 0.0 for pid in targets}
+    heap = [(-(targets[p] - loads[p]), p) for p in targets]
+    heapq.heapify(heap)
     out: Dict[int, int] = {}
     for g in sorted(grids, key=lambda g: (-g.workload, g.gid)):
-        pid = max(loads, key=lambda p: (targets[p] - loads[p], -p))
+        pid = heap[0][1]
         out[g.gid] = pid
         loads[pid] += g.workload
+        heapq.heapreplace(heap, (-(targets[pid] - loads[pid]), pid))
     return out
 
 

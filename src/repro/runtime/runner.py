@@ -238,11 +238,12 @@ class SAMRRunner(IntegratorHooks):
         self.assignment.validate()
         self.integrator = SAMRIntegrator(self.hierarchy, self, dt0=dt0)
         self._step_start_clock = 0.0
-        #: per-level sibling-adjacency cache keyed by the hierarchy
-        #: version at which it was computed
+        #: per-level sibling-adjacency cache keyed by the level's
+        #: ``hierarchy.level_versions`` entry at which it was computed (a
+        #: finer regrid leaves the coarser levels' adjacency valid)
         self._sibling_cache: Dict[int, Tuple[int, List[Tuple[int, int, int]]]] = {}
         #: per-level message-geometry caches (gid lists + volume arrays),
-        #: also keyed by the hierarchy version
+        #: also keyed by the level's version
         self._ghost_cache: Dict[int, Tuple[int, Tuple[list, list, np.ndarray]]] = {}
         self._pc_cache: Dict[int, Tuple[int, Tuple[list, list, np.ndarray]]] = {}
 
@@ -361,19 +362,21 @@ class SAMRRunner(IntegratorHooks):
     # ------------------------------------------------------------------ #
 
     def _sibling_pairs(self, level: int) -> List[Tuple[int, int, int]]:
-        """Sibling adjacency at ``level``, cached on the hierarchy version."""
+        """Sibling adjacency at ``level``, cached on the level's version."""
+        version = self.hierarchy.level_versions[level]
         cached = self._sibling_cache.get(level)
-        if cached is not None and cached[0] == self.hierarchy.version:
+        if cached is not None and cached[0] == version:
             return cached[1]
         pairs = self.hierarchy.sibling_pairs(level, self.sim_params.ghost_width)
-        self._sibling_cache[level] = (self.hierarchy.version, pairs)
+        self._sibling_cache[level] = (version, pairs)
         return pairs
 
     def _ghost_arrays(self, level: int) -> Tuple[list, list, np.ndarray]:
         """Sibling-pair geometry at ``level`` as (gids_a, gids_b, areas),
-        cached on the hierarchy version like :meth:`_sibling_pairs`."""
+        cached on the level's version like :meth:`_sibling_pairs`."""
+        version = self.hierarchy.level_versions[level]
         cached = self._ghost_cache.get(level)
-        if cached is not None and cached[0] == self.hierarchy.version:
+        if cached is not None and cached[0] == version:
             return cached[1]
         pairs = self._sibling_pairs(level)
         if pairs:
@@ -381,7 +384,7 @@ class SAMRRunner(IntegratorHooks):
             arrays = (arr[:, 0].tolist(), arr[:, 1].tolist(), arr[:, 2])
         else:
             arrays = ([], [], np.empty(0, dtype=np.int64))
-        self._ghost_cache[level] = (self.hierarchy.version, arrays)
+        self._ghost_cache[level] = (version, arrays)
         return arrays
 
     def _ghost_messages(self, level: int) -> MessageBatch:
@@ -400,9 +403,11 @@ class SAMRRunner(IntegratorHooks):
 
     def _pc_arrays(self, level: int) -> Tuple[list, list, np.ndarray]:
         """Parent/child geometry at ``level``: (gids, parent_gids,
-        boundary-cell counts), cached on the hierarchy version."""
+        boundary-cell counts), cached on the level's version (a grid's
+        parent never changes while the grid lives)."""
+        version = self.hierarchy.level_versions[level]
         cached = self._pc_cache.get(level)
-        if cached is not None and cached[0] == self.hierarchy.version:
+        if cached is not None and cached[0] == version:
             return cached[1]
         grids = self.hierarchy.level_grids(level)
         arrays = (
@@ -411,7 +416,7 @@ class SAMRRunner(IntegratorHooks):
             np.fromiter((g.boundary_cells() for g in grids),
                         dtype=np.int64, count=len(grids)),
         )
-        self._pc_cache[level] = (self.hierarchy.version, arrays)
+        self._pc_cache[level] = (version, arrays)
         return arrays
 
     def _parent_child_messages(self, level: int) -> MessageBatch:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.amr.box import Box
 from repro.amr.hierarchy import GridHierarchy
+from repro.amr.regrid import apply_cluster_boxes
 from repro.runtime import root_blocks
 
 
@@ -120,6 +121,60 @@ class TestAddRemove:
         v1 = h.version
         h.remove_grid(c.gid)
         assert h.version > v1
+
+
+class TestLevelVersions:
+    """``level_versions[l]`` moves exactly when level ``l`` gains or loses a
+    grid, so geometry cached for one level survives regrids of others."""
+
+    def test_finer_regrid_leaves_coarser_levels_alone(self):
+        h = make_hierarchy()
+        apply_cluster_boxes(h, 0, [Box((0, 0, 0), (8, 8, 8))], 1.0)
+        v0, v1, v2 = h.level_versions
+        assert v1 > 0 and v2 == 0
+        apply_cluster_boxes(h, 1, [Box((0, 0, 0), (6, 6, 6))], 1.0)
+        assert h.level_versions[0] == v0
+        assert h.level_versions[1] == v1
+        assert h.level_versions[2] > v2
+        # rebuilding level 1 clears level 2 too, but never touches level 0
+        apply_cluster_boxes(h, 0, [Box((0, 0, 0), (4, 4, 4))], 1.0)
+        assert h.level_versions[0] == v0
+
+    def test_add_grid_bumps_only_its_level(self):
+        h = make_hierarchy()
+        before = list(h.level_versions)
+        h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), h.level_grids(0)[0].gid)
+        assert h.level_versions == [before[0], before[1] + 1, before[2]]
+
+    def test_remove_grid_bumps_its_level_and_descendant_levels(self):
+        h = make_hierarchy(levels=4)
+        root = h.level_grids(0)[0]
+        c1 = h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), root.gid)
+        c2 = h.add_grid(2, Box((0, 0, 0), (4, 4, 4)), c1.gid)
+        h.add_grid(3, Box((0, 0, 0), (4, 4, 4)), c2.gid)
+        other = h.add_grid(1, Box((8, 0, 0), (12, 4, 4)), h.level_grids(0)[1].gid)
+        before = list(h.level_versions)
+        h.remove_grid(c1.gid)
+        assert h.level_versions[0] == before[0]
+        assert all(h.level_versions[l] > before[l] for l in (1, 2, 3))
+        before = list(h.level_versions)
+        h.remove_grid(other.gid)  # childless: its own level only
+        assert h.level_versions == [before[0], before[1] + 1, before[2], before[3]]
+
+    def test_clear_level_bumps_only_non_empty_cleared_levels(self):
+        h = make_hierarchy(levels=4)
+        root = h.level_grids(0)[0]
+        c1 = h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), root.gid)
+        h.add_grid(2, Box((0, 0, 0), (4, 4, 4)), c1.gid)
+        before = list(h.level_versions)
+        h.clear_level(1)
+        assert h.level_versions[0] == before[0]
+        assert h.level_versions[1] > before[1]
+        assert h.level_versions[2] > before[2]
+        assert h.level_versions[3] == before[3]  # level 3 was empty
+        before = list(h.level_versions)
+        h.clear_level(1)  # nothing left to clear
+        assert h.level_versions == before
 
 
 class TestQueries:

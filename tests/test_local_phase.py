@@ -67,6 +67,64 @@ class TestLPT:
         assert max(loads.values()) <= total / nprocs + max(sizes)
 
 
+def lpt_assign_scan(grids, targets):
+    """Reference O(grids x procs) LPT: a full ``max()`` scan per grid.
+    Kept here as the oracle the heap-ordered :func:`lpt_assign` must match."""
+    loads = {pid: 0.0 for pid in targets}
+    out = {}
+    for g in sorted(grids, key=lambda g: (-g.workload, g.gid)):
+        pid = max(loads, key=lambda p: (targets[p] - loads[p], -p))
+        out[g.gid] = pid
+        loads[pid] += g.workload
+    return out
+
+
+def make_weighted_grids(sizes, work):
+    return [Grid(gid=i, level=0, box=Box((i * 100, 0), (i * 100 + s, 1)),
+                 work_per_cell=w)
+            for i, (s, w) in enumerate(zip(sizes, work))]
+
+
+class TestLPTMatchesScanOracle:
+    """The heap keyed on ``(-deficit, pid)`` picks exactly the processor the
+    per-grid ``max()`` scan picks, ties and all."""
+
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=12), max_size=40),
+        work=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.25]),
+                      min_size=40, max_size=40),
+        pids=st.lists(st.integers(min_value=0, max_value=10_000), min_size=1,
+                      max_size=12, unique=True),
+        target_values=st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0, 4.0, 4.0, 7.5]),
+                      st.floats(min_value=0.0, max_value=100.0)),
+            min_size=12, max_size=12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_identical_to_scan(self, sizes, work, pids, target_values):
+        grids = make_weighted_grids(sizes, work)
+        targets = dict(zip(pids, target_values))
+        assert lpt_assign(grids, targets) == lpt_assign_scan(grids, targets)
+
+    @pytest.mark.parametrize("sizes, work, targets", [
+        # equal targets and equal workloads: ties go to the smallest pid
+        ([2] * 9, [1.0] * 9, {p: 6.0 for p in range(3)}),
+        # zero workloads never change a deficit
+        ([3, 1, 4, 1, 5], [0.0] * 5, {0: 2.0, 1: 2.0}),
+        # a single processor takes everything
+        ([5, 3, 8], [1.0] * 3, {7: 1.0}),
+        # more processors than grids
+        ([4, 2], [1.0, 1.0], {p: 1.0 for p in range(8)}),
+        # non-contiguous pids, given out of order
+        ([6, 2, 2, 3, 1], [1.0] * 5, {90: 4.0, 3: 4.0, 41: 6.0, 12: 4.0}),
+        # no grids at all
+        ([], [], {0: 1.0, 5: 1.0}),
+    ])
+    def test_edge_cases(self, sizes, work, targets):
+        grids = make_weighted_grids(sizes, work)
+        assert lpt_assign(grids, targets) == lpt_assign_scan(grids, targets)
+
+
 class TestPlanRebalance:
     def test_no_moves_when_balanced(self):
         grids = make_grids([4, 4])

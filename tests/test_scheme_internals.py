@@ -41,6 +41,40 @@ class TestExecuteMoves:
             execute_moves(ctx, [(gid, wrong_src, actual)], level=0,
                           purpose="local-balance")
 
+    def test_two_hop_plan_follows_the_grid(self):
+        """A plan may move one grid twice (A->B, then B->C): the second hop
+        is checked against where the first one left the grid, and both
+        hops' messages are charged in execution order."""
+        ctx = make_ctx()
+        ParallelDLB().initial_distribution(ctx)
+        grid = ctx.hierarchy.level_grids(0)[0]
+        a = ctx.assignment.pid_of(grid.gid)
+        b, c = (a + 1) % ctx.system.nprocs, (a + 2) % ctx.system.nprocs
+        sent = []
+        run_comm = ctx.sim.run_comm
+
+        def recording(messages, **kwargs):
+            sent.extend((m.src, m.dst) for m in messages)
+            return run_comm(messages, **kwargs)
+
+        ctx.sim.run_comm = recording
+        n, cells = execute_moves(ctx, [(grid.gid, a, b), (grid.gid, b, c)],
+                                 level=0, purpose="local-balance")
+        assert (n, cells) == (2, 2 * grid.ncells)
+        assert sent == [(a, b), (b, c)]
+        assert ctx.assignment.pid_of(grid.gid) == c
+
+    def test_second_hop_from_the_old_owner_is_stale(self):
+        ctx = make_ctx()
+        ParallelDLB().initial_distribution(ctx)
+        gid = ctx.hierarchy.level_grids(0)[0].gid
+        a = ctx.assignment.pid_of(gid)
+        b, c = (a + 1) % ctx.system.nprocs, (a + 2) % ctx.system.nprocs
+        with pytest.raises(ValueError, match="stale"):
+            execute_moves(ctx, [(gid, a, b), (gid, a, c)], level=0,
+                          purpose="local-balance")
+        assert ctx.assignment.pid_of(gid) == a  # nothing applied
+
     def test_empty_moves_log_event_without_cost(self):
         ctx = make_ctx()
         ParallelDLB().initial_distribution(ctx)

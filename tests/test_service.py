@@ -522,6 +522,33 @@ class TestSimulateService:
         assert r.service["scheme"] == r.scheme
         assert r.service["total_requests"] > 0
 
+    def test_two_hop_migration_plan_runs(self, monkeypatch):
+        """Regression: at these seeds the group-local rebalance plans a
+        shard twice (A->B, then B->C) in one invocation, which used to fail
+        with ``move plan stale`` on the second hop."""
+        import repro.core.policies as policies
+
+        two_hop_plans = []
+        execute = policies.execute_moves
+
+        def spy(ctx, moves, level, purpose):
+            gids = [gid for gid, _src, _dst in moves]
+            if len(set(gids)) < len(gids):
+                two_hop_plans.append(moves)
+            return execute(ctx, moves, level, purpose)
+
+        monkeypatch.setattr(policies, "execute_moves", spy)
+        svc = ServiceConfig(duration_seconds=1800, router="ewma",
+                            arrivals="flash-crowd", arrival_seed=4,
+                            zipf_seed=4, router_seed=4)
+        cfg = ExperimentConfig(network="wan", procs_per_group=4,
+                               traffic_kind="bursty", traffic_seed=4,
+                               service=svc)
+        r = run_experiment(cfg, "distributed")
+        assert two_hop_plans
+        assert r.service["nticks"] == svc.nticks
+        assert r.service["migrations"] > 0
+
     def test_static_scheme_never_migrates(self):
         r = run_experiment(CFG, "static")
         assert r.service["migrations"] == 0

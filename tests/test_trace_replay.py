@@ -234,6 +234,47 @@ class TestSweepsOverTraces:
             run_experiment(cfg, "distributed")
 
 
+class TestGeometryCaches:
+    """Synthetic traces carry no manifests, so their replay computes sibling
+    geometry through the runner's caches, keyed per level."""
+
+    def test_level0_adjacency_computed_once_per_replay(self, monkeypatch):
+        from repro.amr.hierarchy import GridHierarchy
+        from repro.core.registry import make_scheme
+        from repro.harness.experiment import make_system
+        from repro.traces.replay import load_trace_source
+
+        cfg = replace(SMALL, steps=2,
+                      trace=TraceParams(source="synth:hotspot", seed=1))
+        trace = load_trace_source(cfg)
+        assert not any(r["op"] == "manifest" for r in trace.records)
+        calls = []
+        real = GridHierarchy.sibling_pairs
+
+        def counting(self, level, ghost=1):
+            calls.append(level)
+            return real(self, level, ghost)
+
+        monkeypatch.setattr(GridHierarchy, "sibling_pairs", counting)
+        runner = TraceReplayRunner(trace, make_system(cfg),
+                                   make_scheme("distributed"),
+                                   sim_params=cfg.sim_params,
+                                   scheme_params=cfg.effective_scheme_params())
+        runner.run(2)
+        assert calls.count(0) == 1
+        assert calls.count(1) > 1  # finer levels are regridded between solves
+
+    def test_global_version_sequence_unchanged(self):
+        """Manifests record the global ``hierarchy.version``; per-level
+        versions must leave its sequence exactly as it was."""
+        cfg = replace(SMALL, steps=2)
+        _, trace = record_run(cfg, "distributed")
+        versions = [(r["l"], r["v"]) for r in trace.records
+                    if r["op"] == "manifest"]
+        assert versions == [(0, 63), (1, 116), (2, 152), (1, 152), (2, 229),
+                            (0, 241), (1, 291), (2, 326), (1, 326), (2, 404)]
+
+
 class TestObservability:
     def test_replay_emits_trace_metrics(self):
         from repro.obs import get_default_metrics
