@@ -199,14 +199,6 @@ class BoxArray:
         hi = np.maximum(lo, np.minimum(a[:, :, 1, :], b[:, :, 1, :]))
         return lo, hi
 
-    def intersects_pairwise(self, other: "BoxArray") -> np.ndarray:
-        """Boolean ``(N, M)`` adjacency-by-overlap matrix
-        (:meth:`Box.intersects`: at least one shared cell)."""
-        a, b = self._pairwise_corners(other)
-        lo = np.maximum(a[:, :, 0, :], b[:, :, 0, :])
-        hi = np.minimum(a[:, :, 1, :], b[:, :, 1, :])
-        return (lo < hi).all(axis=2)
-
     def intersection_ncells_pairwise(self, other: "BoxArray") -> np.ndarray:
         """Cell counts of all ``N x M`` intersections, shape ``(N, M)``."""
         a, b = self._pairwise_corners(other)

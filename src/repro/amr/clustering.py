@@ -16,12 +16,17 @@ The algorithm, per candidate box:
    b. the strongest zero crossing of the signature Laplacian
       :math:`\\Delta_d(i) = \\Sigma_d(i+1) - 2\\Sigma_d(i) + \\Sigma_d(i-1)`;
    c. the midpoint of the longest axis.
-4. Recurse on both halves.
+4. Repeat on both halves.
+
+:func:`cluster_flags` runs this one tree level at a time: every pending
+box of a level goes through steps 1--3 together, as array passes over one
+summed-area table of the flags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -77,48 +82,88 @@ def cluster_flags(field: FlagField, params: Optional[ClusterParams] = None) -> L
     together cover every flagged cell.  The list is sorted (deterministic
     output for identical input).
 
-    The signatures :math:`\\Sigma_d` driving the recursion are read from
-    per-axis prefix-sum tables built once per call (:class:`_SignatureTable`)
-    instead of re-reducing a sub-array per candidate box; box efficiencies
-    come from the same tables.  The boxes produced are identical to the
-    per-box reduction — signatures are integer counts either way.
+    The Berger--Rigoutsos work-list is processed one tree level at a time.
+    Every pending box's signatures :math:`\\Sigma_d` are read from one
+    summed-area table built once per call, and shrink, accept and split
+    run as segmented array passes over all pending boxes at once (see
+    :func:`_split_planes` for the tie-breaks).  Each box is treated exactly
+    as the one-box-at-a-time recursion treats it -- signatures are integer
+    counts, and the only floats (efficiency, hole centrality) are the same
+    float64 expressions -- so the boxes are identical.
     """
     params = params or ClusterParams()
     if not field.any:
         return []
-    table = _SignatureTable(field)
-    out: List[Box] = []
-    stack = [table.shrink(field.box)]
-    while stack:
-        item = stack.pop()
-        if item is None:
-            continue
-        box, sigs, nflagged = item
-        if nflagged == 0:
-            continue
-        # shape/ncells read off the signatures (len(sigs[d]) == box.shape[d]
-        # after shrink) to skip per-box property recomputation.
-        shape = tuple(s.shape[0] for s in sigs)
-        ncells = 1
-        for extent in shape:
-            ncells *= extent
-        eff = nflagged / ncells
-        splittable = any(s >= 2 * params.min_width for s in shape)
-        if (eff >= params.min_efficiency and ncells <= params.max_cells) or not splittable:
-            if ncells > params.max_cells and splittable:
-                pass  # fall through to split below
-            else:
-                out.append(box)
-                continue
-        split = _find_split(box, sigs, params)
-        if split is None:
-            out.append(box)
-            continue
-        left, right = split
-        stack.append(table.shrink(left))
-        stack.append(table.shrink(right))
-    out.sort()
-    return out
+    flags = field.flags
+    ndim = flags.ndim
+    # sat[i_0, ..., i_n] = number of flags in [0, i_0) x ... x [0, i_n)
+    sat = np.zeros(tuple(n + 1 for n in flags.shape), dtype=np.int64)
+    inner = sat[(slice(1, None),) * ndim]
+    inner[...] = flags
+    for ax in reversed(range(ndim)):
+        inner.cumsum(axis=ax, out=inner)
+    table = sat.ravel()
+    stride = np.array(sat.strides, dtype=np.int64) // sat.itemsize
+    take_lo, take_hi, sign = _corner_tables(ndim)
+    min_w = params.min_width
+    # pending boxes, relative to field.box.lo: shape (nbox, ndim) each
+    lo = np.zeros((1, ndim), dtype=np.int64)
+    hi = np.array([flags.shape], dtype=np.int64)
+    done_lo: List[np.ndarray] = []
+    done_hi: List[np.ndarray] = []
+    while True:
+        # -- signatures of every (box, axis) pair, box-major axis-minor:
+        # prefix sums P_d(x) over the box for x = lo_d .. hi_d by
+        # inclusion-exclusion on the table, then first differences.  Pair
+        # p's signature is sig[start[p]:start[p] + ext[p]]; the entry after
+        # it straddles two pairs, and every range check below excludes it.
+        ext = (hi - lo).ravel()
+        rep = ext + 1
+        start = rep.cumsum() - rep
+        pos = np.arange(start[-1] + rep[-1]) - np.repeat(start, rep)
+        step = np.repeat((np.zeros_like(lo) + stride).ravel(), rep)
+        base = ((lo * stride) @ take_lo + (hi * stride) @ take_hi).reshape(len(ext), -1)
+        prefix = table[np.repeat(base, rep, axis=0) + (pos * step)[:, None]] @ sign
+        nflagged = prefix[start[::ndim] + ext[::ndim]] - prefix[start[::ndim]]
+        sig = prefix[1:] - prefix[:-1]
+        # -- shrink every box to the bounding box of its flags: pair p's
+        # nonzero range is sig[start + a : start + b].  Each pending box
+        # holds flags: the root does, and each half of a split keeps one of
+        # its parent's nonzero end planes.  Trimming zero planes along one
+        # axis removes no flags, so the other axes' signatures are unchanged.
+        nz = sig.nonzero()[0]
+        a = nz[nz.searchsorted(start)] - start
+        b = nz[nz.searchsorted(start + ext) - 1] - start + 1
+        shape = (b - a).reshape(-1, ndim)
+        lo, hi = lo + a.reshape(-1, ndim), lo + b.reshape(-1, ndim)
+        # -- accept efficient (or unsplittable) boxes
+        ncells = shape.prod(axis=1)
+        splittable = (shape >= 2 * min_w).any(axis=1)
+        accept = ~splittable | (
+            (nflagged / ncells >= params.min_efficiency) & (ncells <= params.max_cells)
+        )
+        done_lo.append(lo[accept])
+        done_hi.append(hi[accept])
+        if accept.all():
+            break
+        # -- split the rest in two; the halves are the next level's boxes
+        split = ~accept
+        rows = split.nonzero()[0]
+        axis, cut = _split_planes(sig, start, start + a, shape, split, min_w)
+        axis, cut = axis[rows], cut[rows] + lo[rows, axis[rows]]
+        lo = np.repeat(lo[rows], 2, axis=0)
+        hi = np.repeat(hi[rows], 2, axis=0)
+        left = np.arange(0, len(lo), 2)
+        hi[left, axis] = cut
+        lo[left + 1, axis] = cut
+    lo = np.concatenate(done_lo)
+    hi = np.concatenate(done_hi)
+    order = np.lexsort(np.concatenate([lo, hi], axis=1).T[::-1])
+    origin = np.asarray(field.box.lo, dtype=np.int64)
+    return [
+        Box._unchecked(tuple(l), tuple(h))
+        for l, h in zip((lo[order] + origin).tolist(), (hi[order] + origin).tolist())
+    ]
 
 
 # --------------------------------------------------------------------- #
@@ -126,202 +171,113 @@ def cluster_flags(field: FlagField, params: Optional[ClusterParams] = None) -> L
 # --------------------------------------------------------------------- #
 
 
-#: (shrunk box, its per-axis signatures, its flagged-cell count)
-_Candidate = Tuple[Box, List[np.ndarray], int]
+@lru_cache(maxsize=None)
+def _corner_tables(ndim: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inclusion--exclusion tables for the signature prefix sums.
 
-
-class _SignatureTable:
-    """Per-axis prefix-sum tables answering signature queries for any sub-box.
-
-    For each axis ``d`` the table holds the flag array cumulatively summed
-    (``np.cumsum``) along every *other* axis, zero-padded by one plane at the
-    low end.  The signature :math:`\\Sigma_d` of an arbitrary sub-box is then
-    an inclusion--exclusion combination of ``2^(ndim-1)`` table slices — one
-    vectorized expression per axis instead of a reduction over the sub-box.
-    All arithmetic is ``int64`` counts, so results match the direct
-    ``sub.sum(axis=...)`` bit-for-bit.
+    The prefix sum :math:`P_d(x)` of a box along axis ``d`` is a signed sum
+    of ``2^(ndim-1)`` summed-area-table entries: axis ``d`` at ``x``, every
+    other axis at its ``lo`` or ``hi`` corner.  With per-box corners scaled
+    by the table strides, ``(lo * s) @ take_lo + (hi * s) @ take_hi`` is
+    the flat table index of every (axis, corner) term at ``x = lo_d``,
+    shape ``(nbox, ndim * 2^(ndim-1))``; ``sign`` holds the corner signs.
     """
-
-    __slots__ = ("origin", "ndim", "tables", "others")
-
-    def __init__(self, field: FlagField) -> None:
-        self.origin = field.box.lo
-        flags = field.flags
-        self.ndim = flags.ndim
-        self.tables: List[np.ndarray] = []
-        self.others: List[Tuple[int, ...]] = []
-        for d in range(self.ndim):
-            t = flags.astype(np.int64)
-            for ax in range(self.ndim):
-                if ax != d:
-                    t = t.cumsum(axis=ax)
-            pad = [(0, 0) if ax == d else (1, 0) for ax in range(self.ndim)]
-            self.tables.append(np.pad(t, pad))
-            self.others.append(tuple(ax for ax in range(self.ndim) if ax != d))
-
-    def signature(self, box: Box, d: int) -> np.ndarray:
-        """:math:`\\Sigma_d` over ``box`` (len ``box.shape[d]``, int64)."""
-        o = self.origin
-        blo = box.lo
-        bhi = box.hi
-        table = self.tables[d]
-        # Direct inclusion-exclusion expressions for the common ranks; the
-        # generic mask loop below covers the rest.  Integer arithmetic, so
-        # the evaluation order is immaterial.
-        if self.ndim == 3:
-            l0, l1, l2 = blo[0] - o[0], blo[1] - o[1], blo[2] - o[2]
-            h0, h1, h2 = bhi[0] - o[0], bhi[1] - o[1], bhi[2] - o[2]
-            if d == 0:
-                s = slice(l0, h0)
-                return (
-                    table[s, h1, h2] - table[s, l1, h2]
-                    - table[s, h1, l2] + table[s, l1, l2]
-                )
-            if d == 1:
-                s = slice(l1, h1)
-                return (
-                    table[h0, s, h2] - table[l0, s, h2]
-                    - table[h0, s, l2] + table[l0, s, l2]
-                )
-            s = slice(l2, h2)
-            return (
-                table[h0, h1, s] - table[l0, h1, s]
-                - table[h0, l1, s] + table[l0, l1, s]
-            )
-        if self.ndim == 2:
-            l0, l1 = blo[0] - o[0], blo[1] - o[1]
-            h0, h1 = bhi[0] - o[0], bhi[1] - o[1]
-            if d == 0:
-                return table[slice(l0, h0), h1] - table[slice(l0, h0), l1]
-            return table[h0, slice(l1, h1)] - table[l0, slice(l1, h1)]
-        lo = tuple(blo[a] - o[a] for a in range(self.ndim))
-        hi = tuple(bhi[a] - o[a] for a in range(self.ndim))
-        others = self.others[d]
-        base: List[object] = [0] * self.ndim
-        base[d] = slice(lo[d], hi[d])
-        out: Optional[np.ndarray] = None
-        for mask in range(1 << len(others)):
-            idx = list(base)
-            bits = 0
+    ncorner = 1 << (ndim - 1)
+    take_lo = np.zeros((ndim, ndim * ncorner), dtype=np.int64)
+    take_hi = np.zeros_like(take_lo)
+    sign = np.empty(ncorner, dtype=np.int64)
+    for mask in range(ncorner):
+        sign[mask] = -1 if bin(mask).count("1") % 2 else 1
+    for d in range(ndim):
+        others = [ax for ax in range(ndim) if ax != d]
+        for mask in range(ncorner):
+            col = d * ncorner + mask
+            take_lo[d, col] = 1
             for j, ax in enumerate(others):
                 if (mask >> j) & 1:
-                    idx[ax] = lo[ax]
-                    bits += 1
+                    take_lo[ax, col] = 1
                 else:
-                    idx[ax] = hi[ax]
-            term = table[tuple(idx)]
-            if out is None:
-                out = term.copy()
-            elif bits % 2:
-                out -= term
-            else:
-                out += term
-        assert out is not None
-        return out
-
-    def shrink(self, box: Box) -> Optional[_Candidate]:
-        """Bounding box of the flagged cells inside ``box`` plus its
-        signatures and flag count (None if the box holds no flags).
-
-        The shrunk box's signatures are the original ones sliced to the
-        nonzero range: trimming a zero-signature plane along one axis removes
-        only flagless cells, so the other axes' signatures are unchanged.
-        """
-        if box.is_empty:
-            return None
-        sigs = [self.signature(box, d) for d in range(self.ndim)]
-        nz0 = np.nonzero(sigs[0])[0]
-        if len(nz0) == 0:
-            return None
-        lo = list(box.lo)
-        hi = list(box.hi)
-        for d in range(self.ndim):
-            nz = nz0 if d == 0 else np.nonzero(sigs[d])[0]
-            a, b = int(nz[0]), int(nz[-1]) + 1
-            lo[d] = box.lo[d] + a
-            hi[d] = box.lo[d] + b
-            sigs[d] = sigs[d][a:b]
-        # corners are validated box corners plus in-range offsets
-        return Box._unchecked(tuple(lo), tuple(hi)), sigs, int(sigs[0].sum())
+                    take_hi[ax, col] = 1
+    for table in (take_lo, take_hi, sign):
+        table.setflags(write=False)  # shared by every call
+    return take_lo, take_hi, sign
 
 
-def _find_split(
-    box: Box, sigs: List[np.ndarray], params: ClusterParams
-) -> Optional[Tuple[Box, Box]]:
-    """Choose a split plane for an inefficient/oversized box.
+def _first_max(group: np.ndarray, value: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """For each distinct id in ``group``, the id and the position of its
+    first maximum of ``value`` (the stable sort keeps equal values in
+    position order)."""
+    order = np.lexsort((-value, group))
+    ids = group[order]
+    head = np.ones(len(ids), dtype=bool)
+    head[1:] = ids[1:] != ids[:-1]
+    return ids[head], order[head]
 
-    Candidate planes per preference tier are enumerated as arrays; ties
-    resolve to the first candidate in (axis, position) order via
-    ``np.argmax``'s first-maximum rule — the same winner the former scalar
-    scan with its strict ``>`` updates produced.
+
+def _split_planes(
+    sig: np.ndarray, start: np.ndarray, off: np.ndarray, shape: np.ndarray,
+    split: np.ndarray, min_width: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Split axis and plane (relative to the box's ``lo``) for every box
+    with ``split`` set; other entries are unspecified.
+
+    ``sig`` holds one segment per (box, axis) pair from ``start``, box-major
+    then axis-minor; the shrunk box's signature along that axis is
+    ``sig[off:off + shape[box, axis]]``.  Planes are chosen in preference
+    order, a tier only for boxes left over by the one before; a plane is
+    valid if both halves keep ``min_width``:
+
+    a. a *hole* (zero signature cell): the planes before and after it, the
+       one nearest the middle (``-|rel / L - 0.5|`` in float64);
+    b. the strongest zero crossing of the signature Laplacian
+       (``|lap_j - lap_{j+1}|`` between cells ``j + 1`` and ``j + 2``);
+    c. the midpoint of the longest axis (always valid: the box is
+       splittable).
+
+    Within a box, ties go to the first candidate in (axis, position,
+    before/after) order -- the segments' own order, so :func:`_first_max`
+    yields it.  Zeros and crossings outside a shrunk signature fail the
+    range checks.
     """
-    min_w = params.min_width
-    # --- (a) holes: zero-signature planes ----------------------------- #
-    best_hole: Optional[Tuple[int, int]] = None  # (axis, plane)
-    best_hole_centrality = -1.0
-    for d in range(box.ndim):
-        sig = sigs[d]
-        if len(sig) < 2 * min_w:
-            continue  # no plane can leave min_width on both sides
-        zeros = np.nonzero(sig == 0)[0]
-        if len(zeros) == 0:
-            continue
-        # each hole cell offers two planes (before / after it), tried in
-        # that order by the scalar scan: interleave to preserve it
-        cand = np.empty(2 * len(zeros), dtype=np.int64)
-        cand[0::2] = box.lo[d] + zeros  # split before the hole cell
-        cand[1::2] = cand[0::2] + 1
-        cand = cand[(cand >= box.lo[d] + min_w) & (cand <= box.hi[d] - min_w)]
-        if len(cand) == 0:
-            continue
-        # prefer holes near the middle of the box
-        centrality = -np.abs((cand - box.lo[d]) / len(sig) - 0.5)
-        k = int(np.argmax(centrality))
-        if centrality[k] > best_hole_centrality:
-            best_hole_centrality = float(centrality[k])
-            best_hole = (d, int(cand[k]))
-    if best_hole is not None:
-        axis, plane = best_hole
-        return box.split(axis, plane)
-    # --- (b) Laplacian zero crossing ---------------------------------- #
-    best_edge: Optional[Tuple[int, int]] = None  # (axis, plane)
-    best_strength = 0
-    for d in range(box.ndim):
-        sig = sigs[d]
-        if len(sig) < 4 or len(sig) < 2 * min_w:
-            continue
-        lap = sig[2:] - 2 * sig[1:-1] + sig[:-2]  # Δ at interior indices 1..n-2
-        cross = np.nonzero(lap[:-1] * lap[1:] < 0)[0]
-        if len(cross) == 0:
-            continue
-        planes = box.lo[d] + cross + 2  # between signature cells i+1, i+2
-        valid = (planes >= box.lo[d] + min_w) & (planes <= box.hi[d] - min_w)
-        if not valid.any():
-            continue
-        strength = np.abs(lap[cross[valid]] - lap[cross[valid] + 1])
-        planes = planes[valid]
-        k = int(np.argmax(strength))
-        if int(strength[k]) > best_strength:
-            best_strength = int(strength[k])
-            best_edge = (d, int(planes[k]))
-    if best_edge is not None:
-        axis, plane = best_edge
-        return box.split(axis, plane)
-    # --- (c) bisect the longest axis ----------------------------------- #
-    axis = box.longest_axis()
-    plane = box.lo[axis] + box.shape[axis] // 2
-    if _valid_plane(box, axis, plane, params.min_width):
-        return box.split(axis, plane)
-    # Try any axis that admits a valid midpoint split.
-    for d in sorted(range(box.ndim), key=lambda a: -box.shape[a]):
-        plane = box.lo[d] + box.shape[d] // 2
-        if _valid_plane(box, d, plane, params.min_width):
-            return box.split(d, plane)
-    return None
-
-
-def _valid_plane(box: Box, axis: int, plane: int, min_width: int) -> bool:
-    """A split plane is valid if both halves keep the minimum width."""
-    return (
-        box.lo[axis] + min_width <= plane <= box.hi[axis] - min_width
-    )
+    ndim = shape.shape[1]
+    lens = shape.ravel()
+    axis = np.zeros(len(shape), dtype=np.int64)
+    plane = np.zeros(len(shape), dtype=np.int64)
+    pending = split.copy()
+    # (a) holes
+    zero = (sig == 0).nonzero()[0]
+    if len(zero):
+        pair = start.searchsorted(zero, side="right") - 1
+        rel = zero - off[pair]
+        cand = np.stack([rel, rel + 1], axis=1).ravel()
+        pair = np.repeat(pair, 2)
+        n = lens[pair]
+        ok = ((cand >= min_width) & (cand <= n - min_width)
+              & pending[pair // ndim]).nonzero()[0]
+        if len(ok):
+            cand, pair = cand[ok], pair[ok]
+            box, k = _first_max(pair // ndim, -np.abs(cand / n[ok] - 0.5))
+            axis[box] = pair[k] % ndim
+            plane[box] = cand[k]
+            pending[box] = False
+    # (b) Laplacian zero crossings
+    if pending.any():
+        lap = sig[2:] - 2 * sig[1:-1] + sig[:-2]
+        cross = (lap[:-1] * lap[1:] < 0).nonzero()[0]
+        pair = start.searchsorted(cross, side="right") - 1
+        j = cross - off[pair]
+        n = lens[pair]
+        ok = ((j >= 0) & (j <= n - 4) & (j + 2 >= min_width) & (j + 2 <= n - min_width)
+              & pending[pair // ndim]).nonzero()[0]
+        if len(ok):
+            cross, pair = cross[ok], pair[ok]
+            box, k = _first_max(pair // ndim, np.abs(lap[cross] - lap[cross + 1]))
+            axis[box] = pair[k] % ndim
+            plane[box] = j[ok][k] + 2
+            pending[box] = False
+    # (c) bisect the longest axis
+    box = pending.nonzero()[0]
+    if len(box):
+        axis[box] = shape[box].argmax(axis=1)
+        plane[box] = shape[box, axis[box]] // 2
+    return axis, plane

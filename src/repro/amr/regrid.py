@@ -154,60 +154,49 @@ def apply_cluster_boxes(
     piece_lo = lo[ci, pi] * ratio
     piece_hi = hi[ci, pi] * ratio
     if validate:
-        _validate_pieces(hierarchy, fine_level, parents, pi, piece_lo, piece_hi, ratio)
-    created: List[Grid] = []
-    for k in range(len(ci)):
-        # corners come from clipped int64 arrays with hi > lo (piece_cells
-        # >= 1), so the validating constructor adds nothing here
-        child_box = Box._unchecked(tuple(int(x) for x in piece_lo[k]),
-                                   tuple(int(x) for x in piece_hi[k]))
-        created.append(
-            hierarchy._insert(fine_level, child_box, parents[pi[k]].gid,
-                              work_per_cell)
-        )
-    return created
+        _validate_pieces(fine_level, parents, pi,
+                         BoxArray(np.stack([piece_lo, piece_hi], axis=1)),
+                         pba.refine(ratio))
+    # corners come from clipped int64 arrays with hi > lo (piece_cells
+    # >= 1), so the validating constructor adds nothing here
+    return [
+        hierarchy._insert(fine_level, Box._unchecked(tuple(l), tuple(h)),
+                          parents[p].gid, work_per_cell)
+        for l, h, p in zip(piece_lo.tolist(), piece_hi.tolist(), pi.tolist())
+    ]
 
 
 def _validate_pieces(
-    hierarchy: GridHierarchy,
     fine_level: int,
     parents: List[Grid],
     parent_idx: np.ndarray,
-    piece_lo: np.ndarray,
-    piece_hi: np.ndarray,
-    ratio: int,
+    pieces: BoxArray,
+    refined: BoxArray,
 ) -> None:
     """Batched equivalent of the per-insert ``add_grid`` checks.
 
-    Verifies every piece nests in its parent's refined box and that the
-    pieces are pairwise disjoint (the fine level was just cleared, so the
-    pieces are the whole level).  Raises :exc:`ValueError` like
+    Verifies every piece nests in its parent's refined box (``refined``,
+    one entry per parent) and that the pieces are pairwise disjoint (the
+    fine level was just cleared, so the pieces are the whole level).  The
+    disjointness check is :meth:`~repro.amr.boxarray.BoxArray.first_overlap_pair`'s
+    axis-0 sweep, not an ``n x n`` matrix.  Raises :exc:`ValueError` like
     :meth:`~repro.amr.hierarchy.GridHierarchy.add_grid` on violation.
     """
-    n = len(parent_idx)
-    if n == 0:
-        return
-    pieces = BoxArray(np.stack([piece_lo, piece_hi], axis=1))
-    refined = BoxArray.from_boxes(
-        [p.box.refine(ratio) for p in parents], ndim=pieces.ndim
-    )
     nested = (
-        (refined.lo[parent_idx] <= piece_lo) & (refined.hi[parent_idx] >= piece_hi)
+        (refined.lo[parent_idx] <= pieces.lo) & (refined.hi[parent_idx] >= pieces.hi)
     ).all(axis=1)
     if not bool(nested.all()):
         k = int(np.argmin(nested))
+        p = int(parent_idx[k])
         raise ValueError(
             f"child box {pieces.box(k)} not nested in parent "
-            f"{parents[parent_idx[k]].gid}'s refined box "
-            f"{parents[parent_idx[k]].box.refine(ratio)}"
+            f"{parents[p].gid}'s refined box {refined.box(p)}"
         )
-    overlap = pieces.intersects_pairwise(pieces)
-    np.fill_diagonal(overlap, False)
-    if bool(overlap.any()):
-        a, b = map(int, np.argwhere(overlap)[0])
+    pair = pieces.first_overlap_pair()
+    if pair is not None:
+        i, j = pair
         raise ValueError(
-            f"box {pieces.box(max(a, b))} overlaps box {pieces.box(min(a, b))} "
-            f"on level {fine_level}"
+            f"box {pieces.box(j)} overlaps box {pieces.box(i)} on level {fine_level}"
         )
 
 

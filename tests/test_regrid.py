@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from repro.amr.box import Box
+from repro.amr.boxarray import BoxArray
 from repro.amr.hierarchy import GridHierarchy
-from repro.amr.regrid import RegridParams, assemble_flags, regrid_level
+from repro.amr.regrid import (
+    RegridParams,
+    _validate_pieces,
+    apply_cluster_boxes,
+    assemble_flags,
+    regrid_level,
+)
 from repro.runtime import root_blocks
 
 
@@ -137,3 +144,54 @@ class TestRegridLevel:
         h = fresh(app)
         params = RegridParams(min_piece_cells=10_000)  # absurd: drop all
         assert regrid_level(h, app, 0, 0.0, params) == []
+
+
+def single_root(domain_cells=16, max_levels=3):
+    h = GridHierarchy(Box.cube(0, domain_cells, 3), 2, max_levels)
+    h.create_root_grids([Box.cube(0, domain_cells, 3)])
+    return h
+
+
+def grid_rows(grids):
+    return [(g.gid, g.level, g.box, g.parent_gid, g.work_per_cell) for g in grids]
+
+
+class TestApplyClusterBoxesValidation:
+    def test_overlapping_clusters_raise(self):
+        h = single_root()
+        boxes = [Box((0, 0, 0), (2, 2, 2)), Box((1, 1, 1), (3, 3, 3))]
+        with pytest.raises(ValueError, match="overlaps"):
+            apply_cluster_boxes(h, 0, boxes, 1.0, validate=True)
+
+    def test_overlap_far_apart_in_axis0_order_raises(self):
+        # a long box opening at x=0 and a small one at x=15 overlap; twelve
+        # disjoint boxes sort between them on axis 0
+        h = single_root()
+        long_box = Box((0, 0, 0), (16, 2, 2))
+        between = [Box((k, 4, 4), (k + 1, 5, 5)) for k in range(1, 13)]
+        late = Box((15, 1, 1), (16, 2, 2))
+        with pytest.raises(ValueError, match="overlaps"):
+            apply_cluster_boxes(h, 0, [long_box, *between, late], 1.0,
+                                validate=True)
+
+    def test_piece_escaping_parent_raises(self):
+        h = single_root(domain_cells=8)
+        parents = h.level_grids(0)
+        refined = BoxArray.from_boxes([p.box for p in parents]).refine(2)
+        pieces = BoxArray.from_boxes([Box((10, 0, 0), (17, 4, 4))])
+        with pytest.raises(ValueError, match="not nested"):
+            _validate_pieces(1, parents, np.zeros(1, dtype=np.int64),
+                             pieces, refined)
+
+    def test_validate_flag_builds_identical_grids(self):
+        app = BoxFlagApp(Box((2, 2, 2), (11, 7, 9)))
+        built = []
+        for validate in (True, False):
+            h = fresh(app)
+            boxes = [Box((1, 1, 1), (6, 5, 5)), Box((6, 1, 1), (12, 8, 10)),
+                     Box((1, 5, 1), (6, 8, 3))]
+            created = apply_cluster_boxes(h, 0, boxes, 2.0, validate=validate)
+            h.validate()
+            built.append((grid_rows(created), grid_rows(h.level_grids(1))))
+        assert built[0] == built[1]
+        assert len(built[0][0]) == 6  # each box is cut at a root-slab face
