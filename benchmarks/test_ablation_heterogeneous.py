@@ -20,7 +20,7 @@ from conftest import run_once
 
 from repro.amr.applications import ShockPool3D
 from repro.core import DistributedDLB
-from repro.distsys import ConstantTraffic, build_system, mren_wan
+from repro.distsys import ConstantTraffic, GroupSpec, SystemSpec, build_system
 from repro.harness.report import format_table
 from repro.runtime import SAMRRunner
 
@@ -29,19 +29,18 @@ SPEED = 2.0e4
 
 def run_heterogeneous(aware: bool):
     app = ShockPool3D(domain_cells=16, max_levels=3)
-    traffic = ConstantTraffic(0.3)
     if aware:
-        system = build_system(
-            [2, 2], inter_link=mren_wan(traffic),
-            group_weights=[1.0, 2.0], base_speed=SPEED,
-            group_names=["slow", "fast"],
+        spec = SystemSpec(
+            groups=(GroupSpec(2, name="slow"),
+                    GroupSpec(2, name="fast", weight=2.0)),
+            base_speed=SPEED,
         )
     else:
-        system = build_system(
-            [2, 2], inter_link=mren_wan(traffic),
-            group_base_speeds=[SPEED, 2.0 * SPEED],
-            group_names=["slow", "fast"],
+        spec = SystemSpec(
+            groups=(GroupSpec(2, name="slow", base_speed=SPEED),
+                    GroupSpec(2, name="fast", base_speed=2.0 * SPEED)),
         )
+    system = build_system(spec, traffic=ConstantTraffic(0.3))
     return SAMRRunner(app, system, DistributedDLB()).run(4)
 
 

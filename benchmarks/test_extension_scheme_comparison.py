@@ -31,7 +31,7 @@ from conftest import run_once
 
 from repro.amr.applications import ShockPool3D
 from repro.core import DiffusionDLB, DistributedDLB, ParallelDLB, StaticDLB
-from repro.distsys import ConstantTraffic, wan_system
+from repro.distsys import ConstantTraffic, build_system, wan_spec
 from repro.harness.report import format_table
 from repro.runtime import SAMRRunner
 
@@ -49,7 +49,8 @@ def run_matrix():
     for n in CONFIGS:
         for name, S in SCHEMES:
             app = ShockPool3D(domain_cells=16, max_levels=3)
-            system = wan_system(n, ConstantTraffic(0.45), base_speed=2e4)
+            system = build_system(wan_spec(n, base_speed=2e4),
+                                  traffic=ConstantTraffic(0.45))
             rows[(n, name)] = SAMRRunner(app, system, S()).run(5)
     return rows
 

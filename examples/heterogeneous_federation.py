@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.amr.applications import ShockPool3D
 from repro.core import DistributedDLB
-from repro.distsys import ConstantTraffic, build_system, mren_wan
+from repro.distsys import ConstantTraffic, GroupSpec, SystemSpec, build_system
 from repro.harness.report import format_table
 from repro.runtime import SAMRRunner
 
@@ -27,21 +27,20 @@ BASE_SPEED = 2.0e4
 
 def run(aware: bool):
     app = ShockPool3D(domain_cells=16, max_levels=3)
-    traffic = ConstantTraffic(0.3)
     if aware:
         # the scheme *sees* the difference as relative performance weights
-        system = build_system(
-            [2, 2], inter_link=mren_wan(traffic),
-            group_weights=[1.0, 2.0], base_speed=BASE_SPEED,
-            group_names=["slow-site", "fast-site"],
+        spec = SystemSpec(
+            groups=(GroupSpec(2, name="slow-site"),
+                    GroupSpec(2, name="fast-site", weight=2.0)),
+            base_speed=BASE_SPEED,
         )
     else:
         # same hardware, but the scheme believes the groups are equal
-        system = build_system(
-            [2, 2], inter_link=mren_wan(traffic),
-            group_base_speeds=[BASE_SPEED, 2.0 * BASE_SPEED],
-            group_names=["slow-site", "fast-site"],
+        spec = SystemSpec(
+            groups=(GroupSpec(2, name="slow-site", base_speed=BASE_SPEED),
+                    GroupSpec(2, name="fast-site", base_speed=2.0 * BASE_SPEED)),
         )
+    system = build_system(spec, traffic=ConstantTraffic(0.3))
     print(system.describe())
     return SAMRRunner(app, system, DistributedDLB()).run(4)
 

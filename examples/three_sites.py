@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.amr.applications import ShockPool3D
 from repro.core import DistributedDLB, ParallelDLB
-from repro.distsys import ConstantTraffic, multi_site_system
+from repro.distsys import ConstantTraffic, build_system, multi_site_spec
 from repro.distsys.events import RedistributionEvent
 from repro.harness.report import format_table
 from repro.runtime import SAMRRunner
@@ -24,8 +24,8 @@ def main() -> None:
     for name, scheme in (("parallel DLB", ParallelDLB()),
                          ("distributed DLB", DistributedDLB())):
         app = ShockPool3D(domain_cells=16, max_levels=3)
-        system = multi_site_system([2, 2, 2], ConstantTraffic(0.35),
-                                   base_speed=2e4)
+        system = build_system(multi_site_spec([2, 2, 2], base_speed=2e4),
+                              traffic=ConstantTraffic(0.35))
         if name == "distributed DLB":
             print(system.describe())
             print()

@@ -13,8 +13,8 @@ All ``run_*`` entry points share one call shape::
 ``executor`` overrides the execution engine (serial / process-pool /
 cached), ``tracer`` records spans for every simulated run (see
 :mod:`repro.obs` and ``docs/OBSERVABILITY.md``), and ``seed`` overrides the
-config's traffic seed.  Older positional call forms still work behind
-:class:`DeprecationWarning` shims.
+config's traffic seed.  Options are keyword-only: a positional option
+raises :class:`TypeError`.
 """
 
 from __future__ import annotations

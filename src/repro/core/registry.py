@@ -24,7 +24,6 @@ composition can never serve stale cached results.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
@@ -124,9 +123,6 @@ class _Registration:
 
 
 _REGISTRY: Dict[str, _Registration] = {}
-#: legacy aliases (the pre-registry display labels) -> registered names;
-#: accepted by :func:`make_scheme` with a DeprecationWarning
-_LEGACY_ALIASES: Dict[str, str] = {}
 
 
 def _ensure_builtins() -> None:
@@ -174,16 +170,12 @@ def register_scheme(
     _REGISTRY[spec.name] = _Registration(
         spec, factory if factory is not None else _build_composed
     )
-    if spec.display and spec.display != spec.name:
-        _LEGACY_ALIASES[spec.display] = spec.name
     return spec
 
 
 def unregister_scheme(name: str) -> None:
     """Remove a registered scheme (primarily for test cleanup)."""
-    reg = _REGISTRY.pop(name, None)
-    if reg is not None and _LEGACY_ALIASES.get(reg.spec.display) == name:
-        del _LEGACY_ALIASES[reg.spec.display]
+    _REGISTRY.pop(name, None)
 
 
 def available_schemes() -> Tuple[str, ...]:
@@ -192,44 +184,37 @@ def available_schemes() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def _resolve_name(name: str) -> str:
-    if name not in _REGISTRY and name in _LEGACY_ALIASES:
-        canonical = _LEGACY_ALIASES[name]
-        warnings.warn(
-            f"make_scheme({name!r}) uses a legacy display label; "
-            f"use the registered name {canonical!r}",
-            DeprecationWarning, stacklevel=3,
-        )
-        return canonical
-    if name not in _REGISTRY:
+def _registration(name: str) -> _Registration:
+    _ensure_builtins()
+    reg = _REGISTRY.get(name)
+    if reg is None:
         known = ", ".join(available_schemes())
         raise ValueError(
             f"unknown scheme {name!r}; registered schemes: {known}"
         )
-    return name
+    return reg
 
 
 def get_scheme_spec(name: str) -> SchemeSpec:
-    """The registered spec for ``name`` (legacy display labels accepted)."""
-    _ensure_builtins()
-    return _REGISTRY[_resolve_name(name)].spec
+    """The spec registered under ``name``."""
+    return _registration(name).spec
 
 
 def make_scheme(scheme: Union[str, SchemeSpec]) -> DLBScheme:
     """Build a scheme instance from a registered name or an ad-hoc spec.
 
-    Strings resolve through the registry (pre-registry display labels like
-    ``"parallel DLB"`` still work behind a :class:`DeprecationWarning`);
+    Strings must be registered names (display labels such as
+    ``"parallel DLB"`` are output only and raise :class:`ValueError`);
     passing a :class:`SchemeSpec` composes it directly -- registered specs
     use their registered factory, unregistered ones compose generically.
     """
-    _ensure_builtins()
     if isinstance(scheme, SchemeSpec):
+        _ensure_builtins()
         reg = _REGISTRY.get(scheme.name)
         if reg is not None and reg.spec == scheme:
             return reg.factory(reg.spec)
         return _build_composed(scheme)
-    reg = _REGISTRY[_resolve_name(scheme)]
+    reg = _registration(scheme)
     return reg.factory(reg.spec)
 
 

@@ -9,10 +9,10 @@ carried as objects, which keeps specs plain data; the background-traffic
 model stays a runtime argument to :func:`~repro.distsys.system.build_system`
 (the experiment config pins it separately, so paired runs share weather).
 
-The four legacy constructors (``parallel_system`` et al.) survive as
-``DeprecationWarning`` shims over the spec helpers defined here:
+A spec is the only input ``build_system`` accepts.  The helpers
 :func:`parallel_spec`, :func:`lan_spec`, :func:`wan_spec` and
-:func:`multi_site_spec` reproduce the paper's testbed shapes exactly.
+:func:`multi_site_spec` describe the paper's testbed shapes; any other
+federation is ``SystemSpec(groups=(GroupSpec(...), ...))``.
 """
 
 from __future__ import annotations

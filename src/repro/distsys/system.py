@@ -1,6 +1,8 @@
 """Distributed systems: two or more groups joined by inter-group links.
 
-Factory helpers build the paper's three testbed shapes:
+:func:`build_system` resolves a :class:`~repro.distsys.spec.SystemSpec`
+into a live system; the spec helpers describe the paper's three testbed
+shapes:
 
 * a *parallel system* -- one group, dedicated interconnect (Section 3's
   baseline Origin2000 at ANL);
@@ -12,23 +14,15 @@ Factory helpers build the paper's three testbed shapes:
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, FrozenSet, List, Optional, Sequence, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
 from ..faults.load import NoLoad
 from .group import Group
-from .network import Link, origin2000_interconnect
+from .network import Link
 from .processor import Processor
-from .spec import (
-    SystemSpec,
-    _resolve_link,
-    lan_spec,
-    multi_site_spec,
-    parallel_spec,
-    wan_spec,
-)
+from .spec import SystemSpec, _resolve_link
 from .topology import (
     NetworkTopology,
     Route,
@@ -37,14 +31,7 @@ from .topology import (
 )
 from .traffic import TrafficModel
 
-__all__ = [
-    "DistributedSystem",
-    "build_system",
-    "parallel_system",
-    "lan_system",
-    "wan_system",
-    "multi_site_system",
-]
+__all__ = ["DistributedSystem", "build_system"]
 
 #: resolver fallback when neither the spec nor a group pins a speed
 DEFAULT_BASE_SPEED = 1.0e6
@@ -255,19 +242,29 @@ class DistributedSystem:
 
 
 # --------------------------------------------------------------------- #
-# factories
+# the constructor
 # --------------------------------------------------------------------- #
 
 
-def _system_from_spec(
-    spec: SystemSpec, traffic: Optional[TrafficModel] = None
+def build_system(
+    spec: SystemSpec, *, traffic: Optional[TrafficModel] = None
 ) -> DistributedSystem:
     """Resolve a :class:`~repro.distsys.spec.SystemSpec` into a live system.
 
-    ``traffic`` is the runtime background-traffic model shared by every
-    inter-group link (specs stay plain data; the experiment config pins the
-    weather separately so paired runs see the same conditions).
+    The one way to build a system: the paper's testbeds come from
+    :func:`~repro.distsys.spec.parallel_spec`, ``lan_spec``, ``wan_spec``
+    and ``multi_site_spec``; any other shape is spelled
+    ``SystemSpec(groups=(GroupSpec(...), ...))``.  ``traffic`` is the
+    runtime background-traffic model shared by every inter-group link
+    (specs stay plain data; the experiment config pins the weather
+    separately so paired runs see the same conditions).
     """
+    if not isinstance(spec, SystemSpec):
+        raise TypeError(
+            f"build_system() takes a SystemSpec, not {type(spec).__name__}; "
+            "use SystemSpec(groups=(GroupSpec(...), ...)) or one of "
+            "parallel_spec, lan_spec, wan_spec, multi_site_spec"
+        )
     default_speed = (
         spec.base_speed if spec.base_speed is not None else DEFAULT_BASE_SPEED
     )
@@ -308,142 +305,3 @@ def _system_from_spec(
                 for j in range(i + 1, n):
                     links[frozenset((i, j))] = shared
     return DistributedSystem(groups, links)
-
-
-def build_system(
-    group_sizes: Union[SystemSpec, Sequence[int]],
-    inter_link: Optional[Link] = None,
-    group_weights: Optional[Sequence[float]] = None,
-    group_names: Optional[Sequence[str]] = None,
-    intra_links: Optional[Sequence[Link]] = None,
-    base_speed: float = DEFAULT_BASE_SPEED,
-    group_base_speeds: Optional[Sequence[float]] = None,
-    traffic: Optional[TrafficModel] = None,
-) -> DistributedSystem:
-    """Build a system from a :class:`~repro.distsys.spec.SystemSpec` (the
-    declarative path) or from ``len(group_sizes)`` explicit groups.
-
-    Spec path: ``build_system(spec, traffic=...)`` -- every other keyword is
-    rejected (the spec already pins them).  ``traffic`` is the runtime
-    background-traffic model applied to the inter-group link(s).
-
-    Legacy path: all group pairs share the single ``inter_link`` instance
-    (the paper's testbeds have exactly two groups, so one inter-group link
-    suffices; pass a prebuilt ``inter_links`` mapping through
-    :class:`DistributedSystem` directly for richer topologies).
-
-    ``group_weights`` and ``group_base_speeds`` are two ways of expressing
-    processor heterogeneity: weights are *visible* to the DLB schemes (the
-    paper's relative performance weights), while base speeds are not --
-    ablations use base speeds to model a federation whose scheme is blind
-    to the hardware difference.
-    """
-    if isinstance(group_sizes, SystemSpec):
-        if any(arg is not None for arg in (
-                inter_link, group_weights, group_names, intra_links,
-                group_base_speeds)) or base_speed != DEFAULT_BASE_SPEED:
-            raise TypeError(
-                "build_system(spec, ...) takes only the traffic keyword; "
-                "the spec pins everything else"
-            )
-        return _system_from_spec(group_sizes, traffic)
-    if traffic is not None:
-        raise TypeError(
-            "traffic is only valid with a SystemSpec; the legacy path "
-            "attaches traffic to the inter_link instance directly"
-        )
-    n = len(group_sizes)
-    weights = list(group_weights) if group_weights is not None else [1.0] * n
-    speeds = (
-        list(group_base_speeds)
-        if group_base_speeds is not None
-        else [base_speed] * n
-    )
-    if len(speeds) != n:
-        raise ValueError("group_base_speeds must align with group_sizes")
-    names = list(group_names) if group_names is not None else [f"group{i}" for i in range(n)]
-    intras = list(intra_links) if intra_links is not None else [
-        origin2000_interconnect(f"intra-{names[i]}") for i in range(n)
-    ]
-    if not (len(weights) == len(names) == len(intras) == n):
-        raise ValueError("group_sizes, weights, names and intra_links must align")
-    groups: List[Group] = []
-    pid = 0
-    for gi, size in enumerate(group_sizes):
-        procs = [
-            Processor(pid + k, gi, weight=weights[gi], base_speed=speeds[gi])
-            for k in range(size)
-        ]
-        pid += size
-        groups.append(Group(gi, names[gi], procs, intra_link=intras[gi]))
-    links: Dict[FrozenSet[int], Link] = {}
-    if n > 1:
-        if inter_link is None:
-            raise ValueError("multi-group systems need an inter_link")
-        for i in range(n):
-            for j in range(i + 1, n):
-                links[frozenset((i, j))] = inter_link
-    return DistributedSystem(groups, links)
-
-
-# --------------------------------------------------------------------- #
-# legacy constructors (DeprecationWarning shims over the spec helpers)
-# --------------------------------------------------------------------- #
-
-
-def _warn_legacy(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old}() is deprecated; use build_system({new}(...)) "
-        "(see repro.distsys.spec)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def parallel_system(nprocs: int, base_speed: float = DEFAULT_BASE_SPEED
-                    ) -> DistributedSystem:
-    """Deprecated: use ``build_system(parallel_spec(nprocs, base_speed))``."""
-    _warn_legacy("parallel_system", "parallel_spec")
-    return _system_from_spec(parallel_spec(nprocs, base_speed=base_speed))
-
-
-def lan_system(
-    nprocs_per_group: int,
-    traffic: Optional[TrafficModel] = None,
-    base_speed: float = DEFAULT_BASE_SPEED,
-) -> DistributedSystem:
-    """Deprecated: use ``build_system(lan_spec(n, base_speed), traffic=...)``."""
-    _warn_legacy("lan_system", "lan_spec")
-    return _system_from_spec(lan_spec(nprocs_per_group, base_speed=base_speed),
-                             traffic)
-
-
-def wan_system(
-    nprocs_per_group: int,
-    traffic: Optional[TrafficModel] = None,
-    base_speed: float = DEFAULT_BASE_SPEED,
-) -> DistributedSystem:
-    """Deprecated: use ``build_system(wan_spec(n, base_speed), traffic=...)``."""
-    _warn_legacy("wan_system", "wan_spec")
-    return _system_from_spec(wan_spec(nprocs_per_group, base_speed=base_speed),
-                             traffic)
-
-
-def multi_site_system(
-    group_sizes: Sequence[int],
-    traffic: Optional[TrafficModel] = None,
-    base_speed: float = DEFAULT_BASE_SPEED,
-    group_weights: Optional[Sequence[float]] = None,
-) -> DistributedSystem:
-    """Deprecated: use ``build_system(multi_site_spec(...), traffic=...)``.
-
-    The paper's experiments use two sites, but nothing in the scheme is
-    binary: the gain model (Eq. 4) and the capacity-proportional global
-    phase (Section 4.4) are defined over any number of groups.
-    """
-    _warn_legacy("multi_site_system", "multi_site_spec")
-    return _system_from_spec(
-        multi_site_spec(group_sizes, base_speed=base_speed,
-                        group_weights=group_weights),
-        traffic,
-    )

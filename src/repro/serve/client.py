@@ -124,8 +124,12 @@ class ServeClient:
                                             timeout=self.timeout)
         else:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self.timeout)
-            sock.connect(self.socket_path)
+            try:
+                sock.settimeout(self.timeout)
+                sock.connect(self.socket_path)
+            except OSError:
+                sock.close()
+                raise
         return sock
 
     def _events(self, request: Dict[str, Any]) -> Iterator[Dict[str, Any]]:

@@ -33,12 +33,13 @@ class TraceRecorder:
 
     Parameters
     ----------
+    scheme_name:
+        Registry name of the scheme driving the recorded run (the trace
+        header's ``scheme``).
     config:
         Optional :class:`~repro.harness.experiment.ExperimentConfig` the
         run was built from; its canonical serialization and hash land in
         the trace header for provenance.
-    scheme_name:
-        Registry name of the scheme driving the recorded run.
     manifests:
         Record ghost/parent-child message manifests (default).  They are
         what lets same-scheme replay skip sibling-adjacency geometry -- the
@@ -46,7 +47,7 @@ class TraceRecorder:
         size matters more than replay speed.
     """
 
-    def __init__(self, config=None, scheme_name: str = "",
+    def __init__(self, scheme_name: str, config=None,
                  manifests: bool = True) -> None:
         self.config = config
         self.scheme_name = scheme_name
@@ -115,7 +116,7 @@ class TraceRecorder:
         config_payload, config_hash = _config_payload(self.config)
         header = build_header(
             app=self.runner.app.name,
-            scheme=self.scheme_name or self.runner.scheme.name,
+            scheme=self.scheme_name,
             nsteps=self.runner.integrator.coarse_steps_done,
             dt0=self.runner.integrator.dt0,
             domain=self.runner.hierarchy.domain,
@@ -143,7 +144,7 @@ def _config_payload(config) -> Tuple[Any, str]:
 
 def record_run(
     config,
-    scheme: Optional[str] = None,
+    scheme: str = "distributed",
     *,
     out=None,
     tracer=None,
@@ -175,15 +176,12 @@ def record_run(
     from ..obs import MetricsRegistry
     from ..runtime import SAMRRunner
 
-    if scheme is None:
-        scheme = "distributed"
     cfg = _apply_seed(config, seed)
     if getattr(cfg, "trace", None) is not None:
         raise ValueError(
             "cannot record a replayed run: config.trace must be None"
         )
-    recorder = TraceRecorder(config=cfg, scheme_name=scheme,
-                             manifests=manifests)
+    recorder = TraceRecorder(scheme, config=cfg, manifests=manifests)
     metrics = MetricsRegistry() if tracer is not None else None
     start_count = tracer.record_count if tracer is not None else 0
     runner = SAMRRunner(

@@ -316,7 +316,7 @@ def load_trace_source(cfg) -> Trace:
 def replay_trace(
     source,
     config=None,
-    scheme: Optional[str] = None,
+    scheme: str = "distributed",
     *,
     executor=None,
     tracer: Optional[Tracer] = None,
@@ -366,8 +366,6 @@ def replay_trace(
         make_system,
     )
 
-    if scheme is None:
-        scheme = "distributed"
     cfg = _apply_seed(config, seed)
     metrics = MetricsRegistry() if tracer is not None else None
     start_count = tracer.record_count if tracer is not None else 0

@@ -6,11 +6,12 @@ name is fine -- extend this list in the same change.
 """
 
 import inspect
-import warnings
+from functools import partial
 
 import pytest
 
 import repro.api as api
+import repro.distsys
 from repro.api import (
     ExperimentConfig,
     replicate,
@@ -20,6 +21,8 @@ from repro.api import (
     run_sequential,
     run_sweep,
 )
+from repro.core.registry import get_scheme_spec, make_scheme
+from repro.distsys import build_system
 
 EXPECTED_API = [
     # configuration
@@ -200,46 +203,40 @@ class TestSeedOverride:
         assert rep.seeds == [5, 6, 7]
 
 
-class TestLegacyShims:
-    def test_run_paired_positional_warns_and_matches(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            keyword = run_paired(SMALL, with_sequential=True)
-        with pytest.warns(DeprecationWarning, match="with_sequential"):
-            legacy = run_paired(SMALL, True)
-        assert legacy.sequential is not None
-        assert legacy.distributed.total_time == keyword.distributed.total_time
+class TestRemovedCallForms:
+    """Every retired second call form fails with a typed error."""
 
-    def test_run_sweep_positional_warns_and_matches(self):
-        keyword = run_sweep(SMALL, procs_per_group=(1,))
-        with pytest.warns(DeprecationWarning, match="procs_per_group"):
-            legacy = run_sweep(SMALL, (1,))
-        assert [p.improvement for p in legacy.pairs] == [
-            p.improvement for p in keyword.pairs]
+    @pytest.mark.parametrize("call,error,match", [
+        pytest.param(lambda: run_paired(SMALL, True), TypeError,
+                     "positional", id="run_paired-positional"),
+        pytest.param(lambda: run_sweep(SMALL, (1,)), TypeError,
+                     "positional", id="run_sweep-positional"),
+        pytest.param(lambda: run_fault_scenarios(SMALL, ("none",)), TypeError,
+                     "positional", id="run_fault_scenarios-positional"),
+        pytest.param(lambda: replicate(SMALL, (3,)), TypeError,
+                     "positional", id="replicate-positional"),
+        pytest.param(lambda: run_experiment(SMALL, scheme_name="parallel"),
+                     TypeError, "scheme_name", id="run_experiment-scheme_name"),
+        pytest.param(lambda: make_scheme("parallel DLB"), ValueError,
+                     r"registered schemes: .*distributed.*parallel",
+                     id="make_scheme-display-label"),
+        pytest.param(lambda: get_scheme_spec("distributed DLB"), ValueError,
+                     r"registered schemes: .*distributed",
+                     id="get_scheme_spec-display-label"),
+        pytest.param(lambda: build_system([2, 2]), TypeError,
+                     r"SystemSpec.*parallel_spec.*multi_site_spec",
+                     id="build_system-group-sizes"),
+        *(pytest.param(partial(getattr, repro.distsys, name), AttributeError,
+                       name, id=f"distsys.{name}")
+          for name in ("parallel_system", "lan_system", "wan_system",
+                       "multi_site_system")),
+    ])
+    def test_removed_form_raises(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
 
-    def test_run_fault_scenarios_positional_warns(self):
-        with pytest.warns(DeprecationWarning, match="scenarios"):
-            results = run_fault_scenarios(SMALL, ("none",))
-        assert list(results) == ["none"]
-
-    def test_replicate_positional_warns(self):
-        with pytest.warns(DeprecationWarning, match="seeds"):
-            rep = replicate(SMALL, (3,))
-        assert rep.seeds == [3]
-
-    def test_run_experiment_scheme_name_keyword_warns(self):
-        with pytest.warns(DeprecationWarning, match="scheme_name"):
-            r = run_experiment(SMALL, scheme_name="parallel")
-        assert r.scheme == "parallel DLB"
-
-    def test_too_many_positionals_raise(self):
-        with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                run_paired(SMALL, True, None, "extra")
-
-    def test_positional_keyword_collision_raises(self):
-        with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                run_paired(SMALL, True, with_sequential=True)
+    def test_build_system_signature(self):
+        params = inspect.signature(build_system).parameters
+        assert list(params) == ["spec", "traffic"]
+        assert params["traffic"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert params["traffic"].default is None

@@ -6,7 +6,7 @@ import pytest
 
 from repro.amr.applications import ShockPool3D
 from repro.core import DiffusionDLB, DistributedDLB
-from repro.distsys import ConstantTraffic, wan_system
+from repro.distsys import ConstantTraffic, build_system, wan_spec
 from repro.metrics.imbalance import imbalance_ratio
 from repro.runtime import SAMRRunner
 
@@ -56,7 +56,7 @@ class TestDiffusionTargets:
 class TestDiffusionRuns:
     def run(self, steps=4, sweeps=1):
         app = ShockPool3D(domain_cells=16, max_levels=3)
-        system = wan_system(2, ConstantTraffic(0.3), base_speed=2e4)
+        system = build_system(wan_spec(2, base_speed=2e4), traffic=ConstantTraffic(0.3))
         return SAMRRunner(app, system, DiffusionDLB(sweeps=sweeps)).run(steps)
 
     def test_completes_and_balances(self):
@@ -77,10 +77,12 @@ class TestDiffusionRuns:
         placement is a genuinely competitive baseline at moderate scale,
         which the scheme-comparison benchmark reports.)"""
         app = ShockPool3D(domain_cells=16, max_levels=3)
-        system = wan_system(4, ConstantTraffic(0.45), base_speed=2e4)
+        system = build_system(wan_spec(4, base_speed=2e4),
+                              traffic=ConstantTraffic(0.45))
         diff = SAMRRunner(app, system, DiffusionDLB()).run(5)
         app2 = ShockPool3D(domain_cells=16, max_levels=3)
-        system2 = wan_system(4, ConstantTraffic(0.45), base_speed=2e4)
+        system2 = build_system(wan_spec(4, base_speed=2e4),
+                               traffic=ConstantTraffic(0.45))
         dist = SAMRRunner(app2, system2, DistributedDLB()).run(5)
         assert diff.remote_bytes_by_kind.get("parent_child", 0.0) > 0.0
         assert dist.remote_bytes_by_kind.get("parent_child", 0.0) == 0.0
@@ -90,9 +92,10 @@ class TestDiffusionRuns:
         from repro.core import StaticDLB
 
         app = ShockPool3D(domain_cells=16, max_levels=3)
-        system = wan_system(2, ConstantTraffic(0.3), base_speed=2e4)
+        system = build_system(wan_spec(2, base_speed=2e4), traffic=ConstantTraffic(0.3))
         static = SAMRRunner(app, system, StaticDLB()).run(5)
         app2 = ShockPool3D(domain_cells=16, max_levels=3)
-        system2 = wan_system(2, ConstantTraffic(0.3), base_speed=2e4)
+        system2 = build_system(wan_spec(2, base_speed=2e4),
+                               traffic=ConstantTraffic(0.3))
         diff = SAMRRunner(app2, system2, DiffusionDLB()).run(5)
         assert diff.compute_time < static.compute_time

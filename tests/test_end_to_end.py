@@ -13,7 +13,7 @@ import pytest
 from repro import quick_run
 from repro.amr.applications import BlastWave, ShockPool3D
 from repro.core import DistributedDLB
-from repro.distsys import ConstantTraffic, wan_system
+from repro.distsys import ConstantTraffic, build_system, wan_spec
 from repro.distsys.events import GlobalDecisionEvent, RedistributionEvent
 from repro.harness import ExperimentConfig, run_experiment, run_paired
 from repro.runtime import SAMRRunner
@@ -106,7 +106,8 @@ class TestSchemeDynamics:
         app = BlastWave(domain_cells=16, max_levels=3)
         shock = ShockPool3D(domain_cells=16, max_levels=3)
         def system():
-            return wan_system(2, ConstantTraffic(0.3), base_speed=2e4)
+            return build_system(wan_spec(2, base_speed=2e4),
+                                traffic=ConstantTraffic(0.3))
         blast = SAMRRunner(app, system(), DistributedDLB()).run(4)
         moving = SAMRRunner(shock, system(), DistributedDLB()).run(4)
         assert blast.redistributions <= moving.redistributions

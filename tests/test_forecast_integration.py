@@ -6,14 +6,14 @@ import pytest
 
 from repro.amr.applications import ShockPool3D
 from repro.core import DistributedDLB
-from repro.distsys import BurstyTraffic, ConstantTraffic, wan_system
+from repro.distsys import BurstyTraffic, ConstantTraffic, build_system, wan_spec
 from repro.distsys.events import GlobalDecisionEvent, ProbeEvent
 from repro.runtime import SAMRRunner
 
 
 def run_with(scheme, traffic, steps=4):
     app = ShockPool3D(domain_cells=16, max_levels=3)
-    system = wan_system(2, traffic, base_speed=2e4)
+    system = build_system(wan_spec(2, base_speed=2e4), traffic=traffic)
     runner = SAMRRunner(app, system, scheme)
     return runner.run(steps)
 

@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 
 from repro.amr.box import Box
 from repro.amr.hierarchy import GridHierarchy
-from repro.distsys import ConstantTraffic, wan_system
-from repro.distsys.system import build_system
-from repro.distsys.network import mren_wan
+from repro.distsys import (
+    ConstantTraffic,
+    GroupSpec,
+    SystemSpec,
+    build_system,
+    wan_spec,
+)
 from repro.partition import (
     GridAssignment,
     carve_workload,
@@ -26,7 +30,7 @@ def make_setup(blocks=(4, 1, 1), n=16):
     domain = Box.cube(0, n, 3)
     h = GridHierarchy(domain, 2, 3)
     h.create_root_grids(root_blocks(domain, blocks))
-    system = wan_system(2, ConstantTraffic(0.0))
+    system = build_system(wan_spec(2), traffic=ConstantTraffic(0.0))
     a = GridAssignment(h, system)
     return h, system, a
 
@@ -62,13 +66,13 @@ class TestProportionalShares:
 
     def test_group_targets_match_paper_formula(self):
         """W * nA*pA/(nA*pA + nB*pB) from Section 4.4."""
-        s = build_system([2, 4], inter_link=mren_wan(), group_weights=[3.0, 1.0])
+        s = build_system(SystemSpec(groups=(GroupSpec(2, weight=3.0), GroupSpec(4))))
         targets = group_targets(s, 100.0)
         assert targets[0] == pytest.approx(100.0 * 6 / 10)
         assert targets[1] == pytest.approx(100.0 * 4 / 10)
 
     def test_processor_targets_weighted(self):
-        s = build_system([1, 1], inter_link=mren_wan(), group_weights=[1.0, 3.0])
+        s = build_system(SystemSpec(groups=(GroupSpec(1), GroupSpec(1, weight=3.0))))
         targets = processor_targets(s, 80.0)
         assert targets[0] == pytest.approx(20.0)
         assert targets[1] == pytest.approx(60.0)

@@ -2,8 +2,8 @@
 
 Covers the registry contract promised by ``docs/SCHEMES.md``: a
 ``SchemeSpec`` round-trips through its dict form, unknown names fail with
-a message listing what *is* registered, legacy display labels resolve
-behind a :class:`DeprecationWarning`, and a user-registered hybrid scheme
+a message listing what *is* registered (display labels included: they are
+output only), and a user-registered hybrid scheme
 flows through ``run_paired`` / ``run_sweep`` / the result cache with zero
 harness changes -- including a cache key distinct from every built-in.
 """
@@ -121,11 +121,6 @@ class TestResolution:
         assert "nope" in message
         for name in BUILTINS:
             assert name in message
-
-    def test_legacy_display_label_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning, match="parallel DLB"):
-            scheme = make_scheme("parallel DLB")
-        assert isinstance(scheme, ParallelDLB)
 
     def test_canonical_names_do_not_warn(self):
         with warnings.catch_warnings():

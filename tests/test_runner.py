@@ -7,7 +7,13 @@ import pytest
 from repro.amr.box import Box
 from repro.amr.applications import ShockPool3D
 from repro.core import DistributedDLB, ParallelDLB
-from repro.distsys import ConstantTraffic, parallel_system, wan_system
+from repro.distsys import (
+    ConstantTraffic,
+    build_system,
+    multi_site_spec,
+    parallel_spec,
+    wan_spec,
+)
 from repro.distsys.events import (
     CommEvent,
     ComputeEvent,
@@ -79,7 +85,8 @@ class TestRootBlocks:
 
 def small_runner(scheme, nprocs_per_group=2, steps=0, **kw):
     app = ShockPool3D(domain_cells=16, max_levels=3)
-    system = wan_system(nprocs_per_group, ConstantTraffic(0.3), base_speed=2e4)
+    system = build_system(wan_spec(nprocs_per_group, base_speed=2e4),
+                          traffic=ConstantTraffic(0.3))
     runner = SAMRRunner(app, system, scheme, **kw)
     if steps:
         runner.run(steps)
@@ -163,7 +170,7 @@ class TestRunnerCommAttribution:
 
     def test_sequential_system_has_zero_comm(self):
         app = ShockPool3D(domain_cells=16, max_levels=3)
-        runner = SAMRRunner(app, parallel_system(1, base_speed=2e4), ParallelDLB())
+        runner = SAMRRunner(app, build_system(parallel_spec(1, base_speed=2e4)), ParallelDLB())
         result = runner.run(2)
         assert result.comm_time == 0.0
         assert result.total_time == pytest.approx(
@@ -173,10 +180,9 @@ class TestRunnerCommAttribution:
     def test_system_label_reports_per_group_sizes(self):
         """Asymmetric federations must not be mislabelled with the first
         group's size (the old ``NxM`` format said "3x1procs" here)."""
-        from repro.distsys import multi_site_system
-
         app = ShockPool3D(domain_cells=16, max_levels=2)
-        system = multi_site_system([1, 2, 1], ConstantTraffic(0.1), base_speed=2e4)
+        system = build_system(multi_site_spec([1, 2, 1], base_speed=2e4),
+                              traffic=ConstantTraffic(0.1))
         runner = SAMRRunner(app, system, DistributedDLB())
         assert runner.result().system == "1+2+1procs"
 

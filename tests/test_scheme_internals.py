@@ -10,7 +10,7 @@ from repro.config import SchemeParams
 from repro.core import DistributedDLB, ParallelDLB
 from repro.core.base import BalanceContext, DLBScheme, execute_moves
 from repro.core.gain import WorkloadHistory
-from repro.distsys import ClusterSimulator, ConstantTraffic, wan_system
+from repro.distsys import ClusterSimulator, ConstantTraffic, build_system, wan_spec
 from repro.distsys.events import LocalBalanceEvent
 from repro.partition import GridAssignment
 from repro.runtime import root_blocks
@@ -20,7 +20,7 @@ def make_ctx(blocks=(8, 1, 1)):
     domain = Box.cube(0, 16, 3)
     h = GridHierarchy(domain, 2, 3)
     h.create_root_grids(root_blocks(domain, blocks))
-    system = wan_system(2, ConstantTraffic(0.2), base_speed=2e4)
+    system = build_system(wan_spec(2, base_speed=2e4), traffic=ConstantTraffic(0.2))
     return BalanceContext(
         hierarchy=h,
         assignment=GridAssignment(h, system),

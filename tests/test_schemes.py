@@ -21,7 +21,13 @@ from repro.config import SchemeParams, SimParams
 from repro.core import DistributedDLB, ParallelDLB
 from repro.core.base import BalanceContext
 from repro.core.gain import WorkloadHistory
-from repro.distsys import ClusterSimulator, ConstantTraffic, wan_system
+from repro.distsys import (
+    ClusterSimulator,
+    ConstantTraffic,
+    build_system,
+    parallel_spec,
+    wan_spec,
+)
 from repro.distsys.events import GlobalDecisionEvent, RedistributionEvent
 from repro.partition import GridAssignment
 from repro.runtime import root_blocks
@@ -31,7 +37,7 @@ def make_ctx(blocks=(8, 1, 1), n=16, gamma=2.0):
     domain = Box.cube(0, n, 3)
     h = GridHierarchy(domain, 2, 3)
     h.create_root_grids(root_blocks(domain, blocks))
-    system = wan_system(2, ConstantTraffic(0.2), base_speed=2e4)
+    system = build_system(wan_spec(2, base_speed=2e4), traffic=ConstantTraffic(0.2))
     ctx = BalanceContext(
         hierarchy=h,
         assignment=GridAssignment(h, system),
@@ -207,9 +213,7 @@ class TestDistributedDLBPolicy:
         assert ctx.sim.probe_time == 0.0  # no probe when balanced
 
     def test_single_group_system_noop(self):
-        from repro.distsys import parallel_system
-
-        system = parallel_system(4, base_speed=2e4)
+        system = build_system(parallel_spec(4, base_speed=2e4))
         domain = Box.cube(0, 16, 3)
         h = GridHierarchy(domain, 2, 3)
         h.create_root_grids(root_blocks(domain, (8, 1, 1)))

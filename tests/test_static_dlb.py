@@ -5,14 +5,14 @@ from __future__ import annotations
 
 from repro.amr.applications import ShockPool3D
 from repro.core import DistributedDLB, StaticDLB
-from repro.distsys import ConstantTraffic, wan_system
+from repro.distsys import ConstantTraffic, build_system, wan_spec
 from repro.distsys.events import LocalBalanceEvent, RedistributionEvent
 from repro.runtime import SAMRRunner
 
 
 def run_static(steps=3):
     app = ShockPool3D(domain_cells=16, max_levels=3)
-    system = wan_system(2, ConstantTraffic(0.3), base_speed=2e4)
+    system = build_system(wan_spec(2, base_speed=2e4), traffic=ConstantTraffic(0.3))
     return SAMRRunner(app, system, StaticDLB()).run(steps)
 
 
@@ -33,7 +33,7 @@ class TestStaticDLB:
 
     def test_children_inherit_parent_processor(self):
         app = ShockPool3D(domain_cells=16, max_levels=3)
-        system = wan_system(2, ConstantTraffic(0.3), base_speed=2e4)
+        system = build_system(wan_spec(2, base_speed=2e4), traffic=ConstantTraffic(0.3))
         runner = SAMRRunner(app, system, StaticDLB())
         runner.integrator.step()
         for g in runner.hierarchy.all_grids():
@@ -54,6 +54,6 @@ class TestStaticDLB:
         without it."""
         static = run_static(steps=4)
         app = ShockPool3D(domain_cells=16, max_levels=3)
-        system = wan_system(2, ConstantTraffic(0.3), base_speed=2e4)
+        system = build_system(wan_spec(2, base_speed=2e4), traffic=ConstantTraffic(0.3))
         dist = SAMRRunner(app, system, DistributedDLB()).run(4)
         assert dist.total_time < static.total_time

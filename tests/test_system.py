@@ -5,14 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.distsys.group import Group
-from repro.distsys.network import gigabit_lan, mren_wan
+from repro.distsys.network import mren_wan
 from repro.distsys.processor import Processor
-from repro.distsys.system import (
+from repro.distsys import (
     DistributedSystem,
+    GroupSpec,
+    SystemSpec,
     build_system,
-    lan_system,
-    parallel_system,
-    wan_system,
+    lan_spec,
+    parallel_spec,
+    wan_spec,
 )
 
 
@@ -66,41 +68,42 @@ class TestGroup:
 
 class TestDistributedSystem:
     def test_wan_shape(self):
-        s = wan_system(2)
+        s = build_system(wan_spec(2))
         assert s.ngroups == 2
         assert s.nprocs == 4
         assert [p.pid for p in s.processors] == [0, 1, 2, 3]
 
     def test_group_of_and_is_remote(self):
-        s = wan_system(2)
+        s = build_system(wan_spec(2))
         assert s.group_of(0).group_id == 0
         assert s.group_of(3).group_id == 1
         assert s.is_remote(0, 3)
         assert not s.is_remote(0, 1)
 
     def test_link_between(self):
-        s = wan_system(2)
+        s = build_system(wan_spec(2))
         assert s.link_between(0, 0) is None
         assert s.link_between(0, 1) is s.groups[0].intra_link
         assert s.link_between(0, 2) is s.inter_link(0, 1)
 
     def test_inter_link_same_group_raises(self):
-        s = wan_system(2)
+        s = build_system(wan_spec(2))
         with pytest.raises(ValueError):
             s.inter_link(0, 0)
 
     def test_capacity_fraction(self):
-        s = build_system([2, 6], inter_link=mren_wan())
+        s = build_system(SystemSpec(groups=(2, 6)))
         assert s.capacity_fraction(0) == pytest.approx(0.25)
         assert s.capacity_fraction(1) == pytest.approx(0.75)
 
     def test_heterogeneous_groups(self):
-        s = build_system([2, 2], inter_link=gigabit_lan(), group_weights=[1.0, 3.0])
+        s = build_system(SystemSpec(groups=(GroupSpec(2), GroupSpec(2, weight=3.0)),
+                                    inter_link="gigabit-lan"))
         assert s.total_capacity == pytest.approx(8.0)
         assert s.capacity_fraction(1) == pytest.approx(0.75)
 
     def test_parallel_system_single_group(self):
-        s = parallel_system(8)
+        s = build_system(parallel_spec(8))
         assert s.ngroups == 1
         assert s.nprocs == 8
         assert not s.is_remote(0, 7)
@@ -123,13 +126,13 @@ class TestDistributedSystem:
             DistributedSystem([g0])
 
     def test_multigroup_needs_link(self):
-        with pytest.raises(ValueError):
-            build_system([1, 1])
+        with pytest.raises(ValueError, match="inter_link"):
+            SystemSpec(groups=(1, 1), inter_link="no-such-link")
 
     def test_describe_mentions_groups(self):
-        text = wan_system(2).describe()
+        text = build_system(wan_spec(2)).describe()
         assert "ANL" in text and "NCSA" in text
 
     def test_lan_system_names(self):
-        s = lan_system(1)
+        s = build_system(lan_spec(1))
         assert {g.name for g in s.groups} == {"ANL-1", "ANL-2"}

@@ -198,6 +198,13 @@ class TestExecutorIntegration:
         result = replay_trace(str(out), SMALL, "distributed", executor=ex)
         assert result.total_time == recorded.total_time
 
+    def test_scheme_defaults_to_distributed(self, tmp_path):
+        out = tmp_path / "t.trace.jsonl.gz"
+        recorded, trace = record_run(SMALL, out=out)
+        assert trace.scheme == "distributed"
+        assert replay_trace(str(out), SMALL).total_time == recorded.total_time
+        assert replay_trace(trace, SMALL).total_time == recorded.total_time
+
     def test_replay_trace_object_rejects_executor(self):
         _, trace = record_run(SMALL, "distributed")
         with pytest.raises(ValueError, match="write_trace"):

@@ -8,10 +8,12 @@ from dataclasses import replace
 import pytest
 
 from repro.config import TraceParams
+from repro.core.registry import available_schemes
 from repro.harness.experiment import ExperimentConfig
 from repro.traces import (
     Trace,
     TraceFormatError,
+    TraceRecorder,
     available_synth_workloads,
     generate_trace,
     make_synth_workload,
@@ -294,6 +296,15 @@ class TestRecordRun:
         base = run_experiment(SMALL, "distributed")
         result, _ = record_run(SMALL, "distributed")
         assert run_result_to_dict(result) == run_result_to_dict(base)
+
+    def test_header_scheme_is_the_registry_name(self, recorded):
+        # not the display label "distributed DLB", which is output only
+        assert recorded.scheme == "distributed"
+        assert recorded.scheme in available_schemes()
+
+    def test_recorder_needs_a_scheme_name(self):
+        with pytest.raises(TypeError, match="scheme_name"):
+            TraceRecorder(config=SMALL)
 
     def test_rejects_replay_config(self):
         cfg = replace(SMALL, trace=TraceParams(source="synth:hotspot"))

@@ -9,8 +9,7 @@ from repro.core.weights import (
     measure_weights,
     relative_weights,
 )
-from repro.distsys.network import mren_wan
-from repro.distsys.system import build_system, parallel_system
+from repro.distsys import GroupSpec, SystemSpec, build_system, parallel_spec
 
 
 class TestRelativeWeights:
@@ -34,12 +33,12 @@ class TestRelativeWeights:
 
 class TestMeasureWeights:
     def test_homogeneous_system(self):
-        s = parallel_system(4)
+        s = build_system(parallel_spec(4))
         w = measure_weights(s)
         assert w == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
 
     def test_heterogeneous_system(self):
-        s = build_system([1, 1], inter_link=mren_wan(), group_weights=[1.0, 3.0])
+        s = build_system(SystemSpec(groups=(GroupSpec(1), GroupSpec(1, weight=3.0))))
         w = measure_weights(s)
         assert w[1] / w[0] == pytest.approx(3.0)
         assert sum(w.values()) / 2 == pytest.approx(1.0)
