@@ -1,6 +1,6 @@
 # Convenience targets for the SAMR-DLB reproduction.
 
-.PHONY: install test bench figures fullscale examples perf perf-trace all
+.PHONY: install test bench figures fullscale examples perf perf-trace stats all
 
 install:
 	pip install -e .
@@ -30,5 +30,9 @@ perf-trace:
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; python $$f --quick || exit 1; done
+
+# the size numbers each change reports: src/ LOC, public names, CI jobs
+stats:
+	python3 tools/stats.py
 
 all: install test bench

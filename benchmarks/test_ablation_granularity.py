@@ -12,7 +12,7 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.amr.applications import ShockPool3D
-from repro.core import DistributedDLB
+from repro.core import make_scheme
 from repro.distsys import ConstantTraffic, build_system, wan_spec
 from repro.harness.report import format_table
 from repro.runtime import SAMRRunner
@@ -27,7 +27,7 @@ def sweep():
         app = ShockPool3D(domain_cells=16, max_levels=3)
         system = build_system(wan_spec(2, base_speed=2e4),
                               traffic=ConstantTraffic(0.45))
-        runner = SAMRRunner(app, system, DistributedDLB(),
+        runner = SAMRRunner(app, system, make_scheme("distributed"),
                             blocks_per_axis=blocks)
         r = runner.run(6)
         n = blocks[0] * blocks[1] * blocks[2]

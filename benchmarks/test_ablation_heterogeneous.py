@@ -19,7 +19,7 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.amr.applications import ShockPool3D
-from repro.core import DistributedDLB
+from repro.core import make_scheme
 from repro.distsys import ConstantTraffic, GroupSpec, SystemSpec, build_system
 from repro.harness.report import format_table
 from repro.runtime import SAMRRunner
@@ -41,7 +41,7 @@ def run_heterogeneous(aware: bool):
                     GroupSpec(2, name="fast", base_speed=2.0 * SPEED)),
         )
     system = build_system(spec, traffic=ConstantTraffic(0.3))
-    return SAMRRunner(app, system, DistributedDLB()).run(4)
+    return SAMRRunner(app, system, make_scheme("distributed")).run(4)
 
 
 def sweep():

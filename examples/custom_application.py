@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.amr.applications import AMRApplication
 from repro.amr.box import Box
-from repro.core import DistributedDLB, ParallelDLB
+from repro.core import make_scheme
 from repro.distsys import ConstantTraffic, build_system, wan_spec
 from repro.distsys.events import GlobalDecisionEvent
 from repro.harness.report import format_table
@@ -56,8 +56,8 @@ class CollidingFronts(AMRApplication):
 
 def main() -> None:
     results = {}
-    for name, scheme in (("parallel DLB", ParallelDLB()),
-                         ("distributed DLB", DistributedDLB())):
+    for name, scheme in (("parallel DLB", make_scheme("parallel")),
+                         ("distributed DLB", make_scheme("distributed"))):
         app = CollidingFronts(domain_cells=16, max_levels=3)
         system = build_system(wan_spec(2, base_speed=2e4), traffic=ConstantTraffic(0.4))
         results[name] = SAMRRunner(app, system, scheme).run(6)

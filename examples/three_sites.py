@@ -12,7 +12,7 @@ and the global phase shuffles level-0 grids between all of them.
 from __future__ import annotations
 
 from repro.amr.applications import ShockPool3D
-from repro.core import DistributedDLB, ParallelDLB
+from repro.core import make_scheme
 from repro.distsys import ConstantTraffic, build_system, multi_site_spec
 from repro.distsys.events import RedistributionEvent
 from repro.harness.report import format_table
@@ -21,8 +21,8 @@ from repro.runtime import SAMRRunner
 
 def main() -> None:
     results = {}
-    for name, scheme in (("parallel DLB", ParallelDLB()),
-                         ("distributed DLB", DistributedDLB())):
+    for name, scheme in (("parallel DLB", make_scheme("parallel")),
+                         ("distributed DLB", make_scheme("distributed"))):
         app = ShockPool3D(domain_cells=16, max_levels=3)
         system = build_system(multi_site_spec([2, 2, 2], base_speed=2e4),
                               traffic=ConstantTraffic(0.35))

@@ -10,11 +10,11 @@ Public API tour
 * :mod:`repro.distsys` -- simulated distributed systems: processor groups,
   shared LAN/WAN links with dynamic background traffic, the two-message
   network probe, and the step-driven cost simulator.
-* :mod:`repro.core` -- the DLB schemes, composed from policy components and
-  resolved through the scheme registry: the paper's two-phase
-  :class:`~repro.core.DistributedDLB` (gain/cost-gated global phase +
-  group-local phase), the :class:`~repro.core.ParallelDLB` baseline, and
-  the :class:`~repro.core.StaticDLB` / :class:`~repro.core.DiffusionDLB`
+* :mod:`repro.core` -- the DLB schemes: one
+  :class:`~repro.core.ComposedScheme` class built from policy components by
+  :func:`make_scheme` from a registered name -- the paper's two-phase
+  ``"distributed"`` scheme (gain/cost-gated global phase + group-local
+  phase), the ``"parallel"`` baseline, and the ``"static"`` / ``"diffusion"``
   controls (see ``docs/SCHEMES.md``).
 * :mod:`repro.runtime` -- :class:`~repro.runtime.SAMRRunner` executes an
   (application, system, scheme) triple and returns a
@@ -30,16 +30,7 @@ True
 """
 
 from .config import SchemeParams, SimParams
-from .core import (
-    DiffusionDLB,
-    DistributedDLB,
-    ParallelDLB,
-    SchemeSpec,
-    StaticDLB,
-    available_schemes,
-    make_scheme,
-    register_scheme,
-)
+from .core import SchemeSpec, available_schemes, make_scheme, register_scheme
 from .metrics import RunResult, efficiency
 from .runtime import SAMRRunner
 
@@ -48,10 +39,6 @@ __version__ = "1.0.0"
 __all__ = [
     "SchemeParams",
     "SimParams",
-    "DiffusionDLB",
-    "DistributedDLB",
-    "ParallelDLB",
-    "StaticDLB",
     "SchemeSpec",
     "register_scheme",
     "available_schemes",

@@ -59,8 +59,9 @@ from .core.policies import (
     LocalBalancePolicy,
     WeightPolicy,
 )
-from .core.diffusion_dlb import DIFFUSION_DIMEX_SPEC, DIFFUSION_SOS_SPEC
 from .core.registry import (
+    DIFFUSION_DIMEX_SPEC,
+    DIFFUSION_SOS_SPEC,
     SchemeSpec,
     available_schemes,
     make_scheme,

@@ -11,7 +11,8 @@ composition runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Final, Tuple
 
 __all__ = ["SimParams", "SchemeParams", "FaultParams", "ExecParams",
@@ -27,6 +28,18 @@ FAULT_SCENARIOS: Final[Tuple[str, ...]] = (
     "link-degraded",
     "mixed",
 )
+
+
+def _reject_nan(params: object) -> None:
+    """Raise :class:`ValueError` naming the first NaN field of ``params``.
+
+    Range checks written as ``x <= 0`` or ``x < 1`` are all false for NaN,
+    so without this a NaN would pass them and turn every derived time NaN.
+    """
+    for f in fields(params):  # type: ignore[arg-type]
+        value = getattr(params, f.name)
+        if isinstance(value, float) and math.isnan(value):
+            raise ValueError(f"{f.name} must be a number, got nan")
 
 
 @dataclass(frozen=True)
@@ -70,6 +83,7 @@ class SimParams:
     regrid_seconds_per_grid: float = 5.0e-5
 
     def __post_init__(self) -> None:
+        _reject_nan(self)
         if self.bytes_per_cell <= 0:
             raise ValueError("bytes_per_cell must be positive")
         if self.ghost_width < 0:
@@ -111,6 +125,7 @@ class SchemeParams:
     max_local_moves: int = 10_000
 
     def __post_init__(self) -> None:
+        _reject_nan(self)
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
         if self.imbalance_threshold < 1.0:

@@ -5,12 +5,10 @@ orchestrated by :class:`.composed.ComposedScheme` and resolved by name
 through :mod:`.registry` -- see ``docs/SCHEMES.md`` for the paper mapping.
 """
 
-from .base import BalanceContext, DLBScheme, Move, execute_moves
+from .base import BalanceContext, Move, execute_moves
 from .composed import ComposedScheme
 from .cost import CostEstimate, CostModel
 from .decision import Decision, decide
-from .diffusion_dlb import DiffusionDLB
-from .distributed_dlb import DistributedDLB
 from .gain import CoarseStepRecord, WorkloadHistory, estimate_gain
 from .global_phase import (
     GlobalPlan,
@@ -19,7 +17,6 @@ from .global_phase import (
     plan_global_redistribution,
 )
 from .local_phase import lpt_assign, plan_rebalance
-from .parallel_dlb import ParallelDLB
 from .policies import (
     POLICY_REGISTRIES,
     DecisionPolicy,
@@ -37,12 +34,10 @@ from .registry import (
     scheme_cache_payload,
     unregister_scheme,
 )
-from .static_dlb import StaticDLB
 from .weights import capacity_normalized_loads, measure_weights, relative_weights
 
 __all__ = [
     "BalanceContext",
-    "DLBScheme",
     "Move",
     "execute_moves",
     "ComposedScheme",
@@ -50,8 +45,6 @@ __all__ = [
     "CostModel",
     "Decision",
     "decide",
-    "DiffusionDLB",
-    "DistributedDLB",
     "CoarseStepRecord",
     "WorkloadHistory",
     "estimate_gain",
@@ -61,8 +54,6 @@ __all__ = [
     "plan_global_redistribution",
     "lpt_assign",
     "plan_rebalance",
-    "ParallelDLB",
-    "StaticDLB",
     "capacity_normalized_loads",
     "measure_weights",
     "relative_weights",

@@ -1,11 +1,10 @@
-"""Scheme interface and the shared migration machinery.
+"""The balancing context and the shared migration machinery.
 
-A DLB scheme is a policy object the runtime consults at fixed points of the
-SAMR integration (Fig. 5): initial distribution, placement of freshly
-regridded grids, the per-level local balancing opportunity, and the
-per-coarse-step global balancing opportunity.  Policies *plan* moves; the
-shared :func:`execute_moves` applies them -- migrating a grid sends its data
-over whatever link separates the two owners and updates the assignment.
+A DLB scheme (:class:`~repro.core.composed.ComposedScheme`) is consulted at
+fixed points of the SAMR integration (Fig. 5) with a :class:`BalanceContext`.
+Policies *plan* moves; the shared :func:`execute_moves` applies them --
+migrating a grid sends its data over whatever link separates the two owners
+and updates the assignment.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..amr.hierarchy import GridHierarchy
 from ..config import SchemeParams, SimParams
-from ..distsys.comm import Message, MessageKind
+from ..distsys.comm import MessageBatch, MessageKind
 from ..distsys.events import LocalBalanceEvent
 from ..distsys.simulator import ClusterSimulator
 from ..distsys.system import DistributedSystem
@@ -23,7 +22,7 @@ from ..obs import NULL_TRACER, Tracer
 from ..partition.mapping import GridAssignment
 from .gain import WorkloadHistory
 
-__all__ = ["BalanceContext", "Move", "DLBScheme", "execute_moves"]
+__all__ = ["BalanceContext", "Move", "execute_moves"]
 
 #: a planned grid migration: (gid, src_pid, dst_pid)
 Move = Tuple[int, int, int]
@@ -67,7 +66,7 @@ def execute_moves(
                 )
             )
         return 0, 0
-    messages: List[Message] = []
+    nbytes: List[float] = []
     cells = 0
     # Owners as the plan has moved them so far: a plan may move one grid
     # twice (A->B, then B->C), and its second hop starts where the first
@@ -79,12 +78,11 @@ def execute_moves(
         owner[gid] = dst
         grid = ctx.hierarchy.grid(gid)
         cells += grid.migration_cells()
-        messages.append(
-            Message(src, dst, grid.migration_cells() * ctx.sim_params.bytes_per_cell,
-                    MessageKind.MIGRATION)
-        )
+        nbytes.append(grid.migration_cells() * ctx.sim_params.bytes_per_cell)
+    batch = MessageBatch.of_kind([m[1] for m in moves], [m[2] for m in moves],
+                                 nbytes, MessageKind.MIGRATION)
     result = ctx.sim.run_comm(
-        messages, level=level, purpose=purpose, count_as_balance=True
+        batch, level=level, purpose=purpose, count_as_balance=True
     )
     for gid, _src, dst in moves:
         ctx.assignment.assign(gid, dst)
@@ -100,37 +98,3 @@ def execute_moves(
         )
     return len(moves), cells
 
-
-class DLBScheme:
-    """Policy interface; concrete schemes override the four hooks.
-
-    All hooks may mutate the assignment (via planned moves) and charge time
-    on the simulator; they must leave every hierarchy grid assigned.
-    """
-
-    #: scheme label used in reports ("parallel DLB" / "distributed DLB")
-    name: str = "abstract"
-
-    def initial_distribution(self, ctx: BalanceContext) -> None:
-        """Distribute the freshly created level-0 grids (no comm charged --
-        initial data is loaded in place, as in the paper's runs)."""
-        raise NotImplementedError
-
-    def place_new_grids(self, ctx: BalanceContext, new_gids: Sequence[int]) -> None:
-        """Give first owners to grids just created by a regrid.
-
-        Placement is bookkeeping, not migration: a new grid's data is
-        *produced* by interpolation from its parent, so the only traffic it
-        can cause is the parent-child exchange the solver already accounts
-        -- unless the scheme places it away from the parent, in which case
-        the interpolated data crosses the network once (charged here).
-        """
-        raise NotImplementedError
-
-    def local_balance(self, ctx: BalanceContext, level: int, time: float) -> None:
-        """Per-level balancing opportunity (Fig. 5 'local' marks)."""
-        raise NotImplementedError
-
-    def global_balance(self, ctx: BalanceContext, time: float) -> None:
-        """Per-coarse-step balancing opportunity (Fig. 5 'global' marks)."""
-        raise NotImplementedError

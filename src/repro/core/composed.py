@@ -1,6 +1,6 @@
-"""`ComposedScheme`: a DLB scheme assembled from four policy components.
+"""`ComposedScheme`: the one DLB scheme class, assembled from four policies.
 
-Every scheme in this package -- including the four built-ins -- is a
+Every scheme -- the built-ins and any user registration -- is a
 composition of one :class:`~repro.core.policies.WeightPolicy`, one
 :class:`~repro.core.policies.DecisionPolicy`, one
 :class:`~repro.core.policies.GlobalPartitionPolicy` and one
@@ -9,7 +9,8 @@ serializable :class:`~repro.core.registry.SchemeSpec`.  The composition
 fixes *orchestration* (the Fig. 4 control flow below); the policies fix
 *behaviour*.
 
-The scheme's ``name`` comes from the spec's display label, so observability
+Instances come from :func:`~repro.core.registry.make_scheme`.  The
+scheme's ``name`` comes from the spec's display label, so observability
 span attributes, ``RunResult.scheme`` and cache metadata all agree on what
 ran without any scheme-specific code.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Sequence
 
 from ..distsys.events import GlobalDecisionEvent
-from .base import BalanceContext, DLBScheme
+from .base import BalanceContext
 from .decision import Decision
 from .policies import (
     DecisionPolicy,
@@ -34,8 +35,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
 __all__ = ["ComposedScheme"]
 
 
-class ComposedScheme(DLBScheme):
+class ComposedScheme:
     """One policy per axis, orchestrated as the paper's Fig. 4 loop.
+
+    The runtime consults the scheme at four fixed points of the SAMR
+    integration (Fig. 5); every hook may mutate the assignment (via planned
+    moves) and charge time on the simulator, and must leave every hierarchy
+    grid assigned.
 
     The global phase runs once per coarse step: skip unless the partition
     is active on this system, detect imbalance and estimate Gain (Eqs. 2-4),
@@ -67,23 +73,35 @@ class ComposedScheme(DLBScheme):
         return self.decision_policy.decisions
 
     # ------------------------------------------------------------------ #
-    # DLBScheme hooks: delegate to the policies
+    # the four runtime hooks: delegate to the policies
     # ------------------------------------------------------------------ #
 
     def initial_distribution(self, ctx: BalanceContext) -> None:
+        """Distribute the freshly created level-0 grids (no comm charged --
+        initial data is loaded in place, as in the paper's runs)."""
         self.global_policy.initial_distribution(ctx, self.weight_policy)
 
     def place_new_grids(
         self, ctx: BalanceContext, new_gids: Sequence[int]
     ) -> None:
+        """Give first owners to grids just created by a regrid.
+
+        Placement is bookkeeping, not migration: a new grid's data is
+        *produced* by interpolation from its parent, so the only traffic it
+        can cause is the parent-child exchange the solver already accounts
+        -- unless the scheme places it away from the parent, in which case
+        the interpolated data crosses the network once (charged here).
+        """
         self.local_policy.place_new_grids(ctx, new_gids, self.weight_policy)
 
     def local_balance(
         self, ctx: BalanceContext, level: int, time: float
     ) -> None:
+        """Per-level balancing opportunity (Fig. 5 'local' marks)."""
         self.local_policy.local_balance(ctx, level, time, self.weight_policy)
 
     def global_balance(self, ctx: BalanceContext, time: float) -> None:
+        """Per-coarse-step balancing opportunity (Fig. 5 'global' marks)."""
         if not self.global_policy.active(ctx):
             return
         # re-measure the environment at the balance point: imbalance

@@ -3,7 +3,8 @@
 A scheme is registered under a short name (``"parallel"``,
 ``"distributed"``, ``"static"``, ``"diffusion"``, or anything a user adds)
 together with a serializable :class:`SchemeSpec` describing its policy
-composition and a factory building the scheme instance.  Everything that
+composition; :func:`make_scheme` composes the spec's policies into the one
+scheme class, :class:`ComposedScheme`.  Everything that
 used to switch on scheme-name strings -- ``make_scheme``, the CLI
 ``--scheme`` choices, ``repro.quick_run``, the harness dispatchers and the
 result cache's content address -- resolves through this module instead, so
@@ -25,9 +26,8 @@ composition can never serve stale cached results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Tuple, Union
 
-from .base import DLBScheme
 from .composed import ComposedScheme
 from .policies import POLICY_REGISTRIES, build_policies
 
@@ -113,50 +113,16 @@ class SchemeSpec:
         return cls(**dict(payload))
 
 
-SchemeFactory = Callable[[SchemeSpec], DLBScheme]
+_REGISTRY: Dict[str, SchemeSpec] = {}
 
 
-@dataclass(frozen=True)
-class _Registration:
-    spec: SchemeSpec
-    factory: SchemeFactory
-
-
-_REGISTRY: Dict[str, _Registration] = {}
-
-
-def _ensure_builtins() -> None:
-    """Import the built-in scheme modules so they self-register.
-
-    Function-level imports: the scheme modules import this module at their
-    top level, so eager imports here would be circular.
-    """
-    from . import (  # noqa: F401
-        diffusion_dlb,
-        distributed_dlb,
-        parallel_dlb,
-        sfc_dlb,
-        static_dlb,
-    )
-
-
-def _build_composed(spec: SchemeSpec) -> DLBScheme:
-    return ComposedScheme(spec, **build_policies(spec))
-
-
-def register_scheme(
-    spec: SchemeSpec,
-    factory: Optional[SchemeFactory] = None,
-    *,
-    replace: bool = False,
-) -> SchemeSpec:
+def register_scheme(spec: SchemeSpec, *, replace: bool = False) -> SchemeSpec:
     """Register ``spec`` under ``spec.name``; returns the spec for chaining.
 
-    ``factory`` builds the scheme instance from the spec; the default
-    composes the spec's policies into a plain :class:`ComposedScheme`.
-    Re-registering a name raises unless ``replace=True`` (a silent
-    overwrite would repoint every harness entry point at different
-    behaviour).
+    :func:`make_scheme` composes the spec's policies into a
+    :class:`ComposedScheme`.  Re-registering a name raises unless
+    ``replace=True`` (a silent overwrite would repoint every harness entry
+    point at different behaviour).
     """
     if spec.name == SEQUENTIAL:
         raise ValueError(
@@ -167,9 +133,7 @@ def register_scheme(
             f"scheme {spec.name!r} is already registered "
             f"(pass replace=True to overwrite)"
         )
-    _REGISTRY[spec.name] = _Registration(
-        spec, factory if factory is not None else _build_composed
-    )
+    _REGISTRY[spec.name] = spec
     return spec
 
 
@@ -180,42 +144,30 @@ def unregister_scheme(name: str) -> None:
 
 def available_schemes() -> Tuple[str, ...]:
     """Registered scheme names, sorted (the CLI ``--scheme`` vocabulary)."""
-    _ensure_builtins()
     return tuple(sorted(_REGISTRY))
-
-
-def _registration(name: str) -> _Registration:
-    _ensure_builtins()
-    reg = _REGISTRY.get(name)
-    if reg is None:
-        known = ", ".join(available_schemes())
-        raise ValueError(
-            f"unknown scheme {name!r}; registered schemes: {known}"
-        )
-    return reg
 
 
 def get_scheme_spec(name: str) -> SchemeSpec:
     """The spec registered under ``name``."""
-    return _registration(name).spec
+    spec = _REGISTRY.get(name)
+    if spec is None:
+        known = ", ".join(available_schemes())
+        raise ValueError(
+            f"unknown scheme {name!r}; registered schemes: {known}"
+        )
+    return spec
 
 
-def make_scheme(scheme: Union[str, SchemeSpec]) -> DLBScheme:
+def make_scheme(scheme: Union[str, SchemeSpec]) -> ComposedScheme:
     """Build a scheme instance from a registered name or an ad-hoc spec.
 
     Strings must be registered names (display labels such as
     ``"parallel DLB"`` are output only and raise :class:`ValueError`);
-    passing a :class:`SchemeSpec` composes it directly -- registered specs
-    use their registered factory, unregistered ones compose generically.
+    a :class:`SchemeSpec` is composed as given, registered or not (e.g. a
+    built-in with changed ``options``).
     """
-    if isinstance(scheme, SchemeSpec):
-        _ensure_builtins()
-        reg = _REGISTRY.get(scheme.name)
-        if reg is not None and reg.spec == scheme:
-            return reg.factory(reg.spec)
-        return _build_composed(scheme)
-    reg = _registration(scheme)
-    return reg.factory(reg.spec)
+    spec = scheme if isinstance(scheme, SchemeSpec) else get_scheme_spec(scheme)
+    return ComposedScheme(spec, **build_policies(spec))
 
 
 def scheme_cache_payload(scheme: str) -> Dict[str, Any]:
@@ -229,3 +181,128 @@ def scheme_cache_payload(scheme: str) -> Dict[str, Any]:
     if scheme == SEQUENTIAL:
         return {"pseudo": SEQUENTIAL}
     return get_scheme_spec(scheme).to_dict()
+
+
+# ---------------------------------------------------------------------- #
+# built-in schemes (docs/SCHEMES.md maps each to the paper)
+# ---------------------------------------------------------------------- #
+
+#: The baseline, *parallel DLB* (Lan, Taylor, Bryan; ICPP 2001).  Section
+#: 2.3: "designed for efficient execution on homogeneous systems [...] the
+#: workload of each group is evenly and equally distributed among the
+#: processors" -- no groups, boundaries or network cost, so on a
+#: distributed system it scatters child grids across the WAN (the Fig. 3
+#: overhead the distributed scheme removes).  Nominal weights, LPT over
+#: all processors, no global phase, group-oblivious greedy placement and
+#: all-processor even rebalancing.
+PARALLEL_SPEC = register_scheme(SchemeSpec(
+    name="parallel",
+    display="parallel DLB",
+    weights="nominal",
+    decision="never",
+    global_partition="flat",
+    local="greedy",
+))
+
+#: The paper's contribution, *distributed DLB* (Section 4, Fig. 4).  Local
+#: phase: after each finer-level regrid each group rebalances its own grids
+#: among its own processors, so children stay with their parents and no
+#: remote parent-child traffic exists (4.1).  Global phase, once per
+#: level-0 step: detect inter-group imbalance (Eqs. 2-3), probe the
+#: inter-group network for (alpha, beta), and redistribute level-0 grids
+#: proportionally to group capacity (Eq. 5) only when Gain (Eq. 4) >
+#: gamma * Cost (Eq. 1) (4.4).  ``use_forecast`` smooths the probed link
+#: parameters NWS-style (the Section 6 future-work item; off as in the
+#: paper); ``initial_delta`` is the cost model's overhead prior before the
+#: first redistribution is measured.
+DISTRIBUTED_SPEC = register_scheme(SchemeSpec(
+    name="distributed",
+    display="distributed DLB",
+    weights="measured",
+    decision="gain-cost",
+    global_partition="proportional",
+    local="group",
+    options={"initial_delta": 0.05, "use_forecast": False},
+))
+
+#: Static reference: distribute once, never rebalance.  Not in the paper's
+#: comparison, but the lower bound every DLB paper implies; new grids stay
+#: on their parent's processor, so all adaptation-induced imbalance
+#: accumulates where the refining regions live (the ``value of DLB``
+#: ablation).
+STATIC_SPEC = register_scheme(SchemeSpec(
+    name="static",
+    display="static (no DLB)",
+    weights="nominal",
+    decision="never",
+    global_partition="flat",
+    local="sticky",
+))
+
+#: Diffusive DLB, the related-work family the paper positions itself
+#: against (§1: Cybenko [7]; Elsasser et al.'s heterogeneous generalization
+#: [9], which "does not address the heterogeneity and dynamicity of
+#: networks").  First-order diffusion on the complete processor graph in
+#: capacity-normalised load space, ``sweeps`` averaging steps per balancing
+#: opportunity: the parallel scheme with the local policy swapped.
+DIFFUSION_SPEC = register_scheme(SchemeSpec(
+    name="diffusion",
+    display="diffusion DLB",
+    weights="nominal",
+    decision="never",
+    global_partition="flat",
+    local="diffusion",
+    options={"sweeps": 1},
+))
+
+#: Topology-aware, indivisibility-aware diffusion (Demirel & Sbalzarini,
+#: "Balancing indivisible real-valued loads in arbitrary networks"):
+#: neighbour sets from the system's NetworkTopology, transfers quantized to
+#: whole grids with hysteresis so quantization residue cannot oscillate.
+DIFFUSION_SOS_SPEC = register_scheme(SchemeSpec(
+    name="diffusion:sos",
+    display="second-order diffusion DLB",
+    weights="nominal",
+    decision="never",
+    global_partition="flat",
+    local="diffusion-sos",
+    options={"sweeps": 2, "beta": 1.6, "hysteresis": 0.02},
+))
+
+DIFFUSION_DIMEX_SPEC = register_scheme(SchemeSpec(
+    name="diffusion:dimex",
+    display="dimension-exchange diffusion DLB",
+    weights="nominal",
+    decision="never",
+    global_partition="flat",
+    local="diffusion-dimex",
+    options={"sweeps": 1, "hysteresis": 0.02},
+))
+
+#: Space-filling-curve DLB, the extreme-scale variant of the paper's scheme
+#: (Schornbaum & Ruede's formulation of Eq. 5's split; see
+#: ``repro.partition.sfc``).  Same gain/cost gate, but the global phase
+#: re-cuts the level-0 curve across groups (only grids whose group changes
+#: move) and the local phase re-cuts each group's curve-ordered grids into
+#: weight-proportional processor segments.  The two specs differ only in
+#: the curve: Morton (Z-order, cheapest keys) and Hilbert (Skilling
+#: transform, strictly face-adjacent locality).
+SFC_MORTON_SPEC = register_scheme(SchemeSpec(
+    name="sfc:morton",
+    display="SFC Morton DLB",
+    weights="measured",
+    decision="gain-cost",
+    global_partition="sfc",
+    local="sfc",
+    options={"curve": "morton", "initial_delta": 0.05, "use_forecast": False},
+))
+
+SFC_HILBERT_SPEC = register_scheme(SchemeSpec(
+    name="sfc:hilbert",
+    display="SFC Hilbert DLB",
+    weights="measured",
+    decision="gain-cost",
+    global_partition="sfc",
+    local="sfc",
+    options={"curve": "hilbert", "initial_delta": 0.05, "use_forecast": False},
+))

@@ -6,7 +6,7 @@ including dynamic background traffic on the shared links and the two-message
 network probe the cost model uses.
 """
 
-from .comm import CommPhaseResult, Message, MessageKind, comm_phase_time
+from .comm import CommPhaseResult, MessageKind, comm_phase_time
 from .events import (
     CommEvent,
     ComputeEvent,
@@ -60,7 +60,6 @@ from .traffic import (
 
 __all__ = [
     "CommPhaseResult",
-    "Message",
     "MessageKind",
     "comm_phase_time",
     "CommEvent",

@@ -20,20 +20,23 @@ per link, propagation latency is paid once (in-flight transfers overlap),
 per-bundle software overhead and bytes serialize (one shared medium), and
 distinct links proceed in parallel, so a communication phase lasts as long
 as its busiest link.  Messages a processor sends to itself are free.
+
+Messages travel as a :class:`MessageBatch` (struct-of-arrays); that is the
+only form :func:`comm_phase_time` accepts.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from .network import Link
 from .system import DistributedSystem
 
-__all__ = ["MessageKind", "Message", "MessageBatch", "CommGeometry",
+__all__ = ["MessageKind", "MessageBatch", "CommGeometry",
            "CommPhaseResult", "comm_phase_time"]
 
 
@@ -47,39 +50,19 @@ class MessageKind(enum.Enum):
     CONTROL = "control"
 
 
-@dataclass(frozen=True)
-class Message:
-    """One point-to-point message.
-
-    ``nbytes`` may be fractional (aggregate volumes divided among pairs).
-    """
-
-    src: int
-    dst: int
-    nbytes: float
-    kind: MessageKind
-
-    def __post_init__(self) -> None:
-        if self.nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {self.nbytes}")
-
-
 #: stable kind <-> int-code mapping for :class:`MessageBatch`
 _KIND_LIST: List[MessageKind] = list(MessageKind)
 _KIND_CODE: Dict[MessageKind, int] = {k: i for i, k in enumerate(_KIND_LIST)}
 
 
 class MessageBatch:
-    """Many messages as parallel arrays (struct-of-arrays).
+    """Point-to-point messages as parallel arrays (struct-of-arrays).
 
-    The hot communication phases of a run emit thousands of messages whose
-    per-object construction and per-message dict accounting dominated the
-    profile.  A batch carries the same information as a ``List[Message]`` --
     ``src``/``dst`` pids, ``nbytes`` and a kind code per message, in message
-    order -- and :func:`comm_phase_time` costs it through a vectorized path
-    that reproduces the scalar loop bit-for-bit (order-sensitive float
-    accumulations use ``np.cumsum`` / ``np.add.at``, which apply in element
-    order exactly like the loop's ``+=``).
+    order.  ``nbytes`` may be fractional (aggregate volumes divided among
+    pairs) but never negative.  The hot communication phases of a run emit
+    thousands of messages, so :func:`comm_phase_time` costs a batch with
+    array passes instead of per-message objects.
     """
 
     __slots__ = ("src", "dst", "nbytes", "kind_codes")
@@ -108,16 +91,6 @@ class MessageBatch:
         z = np.empty(0, dtype=np.int64)
         return cls(z, z, np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int8))
 
-    @classmethod
-    def from_messages(cls, messages: Iterable[Message]) -> "MessageBatch":
-        seq = list(messages)
-        return cls(
-            [m.src for m in seq],
-            [m.dst for m in seq],
-            [m.nbytes for m in seq],
-            [_KIND_CODE[m.kind] for m in seq],
-        )
-
     @staticmethod
     def concatenate(batches: Iterable["MessageBatch"]) -> "MessageBatch":
         """Join batches preserving message order."""
@@ -132,13 +105,6 @@ class MessageBatch:
             np.concatenate([b.nbytes for b in seq]),
             np.concatenate([b.kind_codes for b in seq]),
         )
-
-    def to_messages(self) -> List[Message]:
-        """Unpack into :class:`Message` objects (tests / debugging)."""
-        return [
-            Message(int(s), int(d), float(b), _KIND_LIST[int(k)])
-            for s, d, b, k in zip(self.src, self.dst, self.nbytes, self.kind_codes)
-        ]
 
     def total_bytes(self) -> float:
         """Sum of all message volumes (metrics only -- not order-sensitive)."""
@@ -155,9 +121,9 @@ class CommGeometry:
     """Precomputed routing tables of one :class:`DistributedSystem`.
 
     ``system.is_remote`` / ``system.link_between`` cost two dict lookups per
-    call; inside a message loop that is paid per message.  The geometry
-    hoists the pid -> group table and the (group, group) -> *route* tables
-    out of the loop.  Routes come from the system's
+    call, paid per message if used inside a phase.  The geometry hoists the
+    pid -> group table and the (group, group) -> *route* tables out of the
+    phase.  Routes come from the system's
     :class:`~repro.distsys.topology.NetworkTopology` (a degenerate
     star/mesh for classic two-level systems) and are stored per ordered
     group pair in CSR form over the deduplicated link list: the distinct
@@ -166,10 +132,9 @@ class CommGeometry:
 
     When every route has exactly one distinct link -- all two-level systems
     -- ``multihop`` is ``False`` and ``link_index`` is the dense
-    (group, group) -> link matrix the pre-topology geometry carried, so
-    the single-link accounting below is byte-for-byte the original code
-    path (links deduplicated by object identity, shared inter-site links
-    aggregate exactly as the ``id(link)``-keyed scalar path did).
+    (group, group) -> link matrix, and every phase takes the single-link
+    accounting (links deduplicated by object identity, so a shared
+    inter-site link aggregates the bytes of every group pair it joins).
     Multi-hop pairs get ``link_index == -1`` and route the CSR path.
     :class:`~repro.distsys.simulator.ClusterSimulator` caches one instance
     per fault epoch and hands it to every :func:`comm_phase_time` call.
@@ -232,26 +197,6 @@ class CommGeometry:
         self.route_links_flat = np.asarray(flat_links, dtype=np.int64)
         self.route_endpoint_flat = np.asarray(flat_endpoint, dtype=np.int64)
 
-    def link_between(self, src: int, dst: int) -> Link:
-        """The single link between two pids (two-level / single-link pairs)."""
-        ga = self.group_of_pid[src]
-        gb = self.group_of_pid[dst]
-        return self.links[self.link_index[ga, gb]]
-
-    def route_links_between(self, src: int, dst: int
-                            ) -> List[Tuple[Link, int]]:
-        """The distinct links of the route between two pids, in hop order,
-        each with its endpoint flag (1 = pays per-message overhead)."""
-        ga = int(self.group_of_pid[src])
-        gb = int(self.group_of_pid[dst])
-        s = int(self.route_start[ga, gb])
-        n = int(self.route_len[ga, gb])
-        return [
-            (self.links[int(self.route_links_flat[k])],
-             int(self.route_endpoint_flat[k]))
-            for k in range(s, s + n)
-        ]
-
 
 @dataclass
 class CommPhaseResult:
@@ -292,9 +237,19 @@ class CommPhaseResult:
             )
 
 
+def _require_batch(messages: object) -> MessageBatch:
+    if not isinstance(messages, MessageBatch):
+        raise TypeError(
+            f"communication phases take a MessageBatch, got "
+            f"{type(messages).__name__}; build one with MessageBatch.of_kind"
+            f"(src, dst, nbytes, kind) or MessageBatch.empty()"
+        )
+    return messages
+
+
 def comm_phase_time(
     system: DistributedSystem,
-    messages: Union[Iterable[Message], MessageBatch],
+    messages: MessageBatch,
     time: float,
     geometry: Optional[CommGeometry] = None,
 ) -> CommPhaseResult:
@@ -306,101 +261,20 @@ def comm_phase_time(
     :meth:`~repro.distsys.network.Link.phase_time`: propagation latency
     once per phase, software overhead per bundle, bytes serialized on the
     shared medium.  Link conditions are sampled once at the phase start
-    (phases are short relative to traffic time scales).
+    (phases are short relative to traffic time scales).  On a routed
+    (multi-hop) system every link of a bundle's route carries its bytes,
+    and only the two endpoint links pay its software overhead.
 
-    Accepts either a :class:`MessageBatch` (vectorized accounting) or any
-    iterable of :class:`Message` (scalar loop); both produce bit-identical
-    results for the same message sequence.  ``geometry`` hoists the routing
-    tables out of the loop; ``None`` builds one on the spot.
+    Float sums accumulate in a fixed order -- per-pair and per-link
+    volumes in message / first-appearance order (``np.add.at`` applies its
+    updates in element order, ``cumsum`` folds left to right), link busy
+    times in link first-appearance order -- so the result is reproducible
+    bit-for-bit; ``tests/test_comm.py`` pins it against a per-message
+    reference loop.  ``geometry`` hoists the routing tables out of the
+    phase; ``None`` builds one on the spot.  Anything but a
+    :class:`MessageBatch` raises :class:`TypeError`.
     """
-    if isinstance(messages, MessageBatch):
-        return _batch_phase_time(system, messages, time, geometry)
-    # bundle volumes per (src, dst) pair
-    bundles: Dict[Tuple[int, int], float] = {}
-    result = CommPhaseResult()
-    for msg in messages:
-        if msg.src == msg.dst:
-            continue  # self-message: no network cost
-        bundles[(msg.src, msg.dst)] = bundles.get((msg.src, msg.dst), 0.0) + msg.nbytes
-        if system.is_remote(msg.src, msg.dst):
-            result.remote_messages += 1
-            result.remote_bytes += msg.nbytes
-            kind = msg.kind.value
-            result.remote_bytes_by_kind[kind] = (
-                result.remote_bytes_by_kind.get(kind, 0.0) + msg.nbytes
-            )
-        else:
-            result.local_messages += 1
-            result.local_bytes += msg.nbytes
-
-    geo = geometry if geometry is not None else CommGeometry(system)
-    if not geo.multihop:
-        # serialize bundles per link; links run concurrently
-        per_link: Dict[int, Tuple[Link, bool, float, int]] = {}
-        for (src, dst), nbytes in bundles.items():
-            link = geo.link_between(src, dst)
-            remote = system.is_remote(src, dst)
-            key = id(link)
-            prev = per_link.get(key)
-            if prev is None:
-                per_link[key] = (link, remote, nbytes, 1)
-            else:
-                per_link[key] = (link, remote, prev[2] + nbytes, prev[3] + 1)
-
-        elapsed = 0.0
-        for link, remote, nbytes, npairs in per_link.values():
-            busy = link.phase_time(npairs, nbytes, time)
-            if remote:
-                result.remote_time += busy
-            else:
-                result.local_time += busy
-            elapsed = max(elapsed, busy)
-        result.elapsed = elapsed
-        return result
-
-    # routed: every edge of a bundle's route carries the bundle's bytes
-    # (shared-edge contention); per-message overhead is paid at the two
-    # endpoint links only, propagation latency once per traversed link.
-    per_route_link: Dict[int, List] = {}  # id -> [link, remote, bytes, nendp]
-    for (src, dst), nbytes in bundles.items():
-        remote = system.is_remote(src, dst)
-        for link, endp in geo.route_links_between(src, dst):
-            rec = per_route_link.get(id(link))
-            if rec is None:
-                per_route_link[id(link)] = [link, remote, nbytes, endp]
-            else:
-                rec[1] = remote
-                rec[2] += nbytes
-                rec[3] += endp
-
-    elapsed = 0.0
-    for link, remote, nbytes, nendp in per_route_link.values():
-        busy = (link.alpha(time) + nendp * link.per_message_overhead
-                + nbytes * link.beta(time))
-        if remote:
-            result.remote_time += busy
-        else:
-            result.local_time += busy
-        elapsed = max(elapsed, busy)
-    result.elapsed = elapsed
-    return result
-
-
-def _batch_phase_time(
-    system: DistributedSystem,
-    batch: MessageBatch,
-    time: float,
-    geometry: Optional[CommGeometry],
-) -> CommPhaseResult:
-    """Vectorized :func:`comm_phase_time` over a :class:`MessageBatch`.
-
-    Bit-for-bit with the scalar loop: per-pair and per-link byte volumes
-    accumulate in message / first-appearance order (``np.add.at`` applies
-    its updates sequentially in element order; subsetting then ``cumsum``
-    preserves the loop's left-to-right float rounding), and link busy times
-    fold into the result in the same first-appearance order the dict-based
-    loop used.
-    """
+    batch = _require_batch(messages)
     result = CommPhaseResult()
     src, dst, nbytes, kinds = batch.src, batch.dst, batch.nbytes, batch.kind_codes
     keep = src != dst  # self-messages: no network cost
@@ -442,13 +316,10 @@ def _batch_phase_time(
     if not geo.multihop:
         pair_link = geo.link_index[gsrc[first], gdst[first]]
 
-        # serialize bundles per link; links run concurrently.  Grouped
-        # without a per-pair Python loop: with the pairs arranged in
-        # first-appearance order, np.add.at accumulates each link's bytes
-        # in exactly the order the dict-based loop added them (element
-        # order), the re-stamped remote flag is the link's *last* pair's
-        # flag, and folding busy times in link first-appearance order
-        # preserves the accumulation sequence.
+        # serialize bundles per link; links run concurrently.  With the
+        # pairs in first-appearance order, np.add.at accumulates each
+        # link's bytes pair by pair, a link's remote flag is its *last*
+        # pair's flag, and busy times fold in link first-appearance order.
         ordered_link = pair_link[order]
         uniq, lfirst, linv = np.unique(
             ordered_link, return_index=True, return_inverse=True

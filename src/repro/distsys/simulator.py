@@ -14,12 +14,12 @@ alpha and beta".
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..obs import NULL_TRACER, Tracer
-from .comm import CommGeometry, CommPhaseResult, Message, MessageBatch, comm_phase_time
+from .comm import CommGeometry, CommPhaseResult, MessageBatch, comm_phase_time
 from .events import (
     CommEvent,
     ComputeEvent,
@@ -171,7 +171,7 @@ class ClusterSimulator:
 
     def run_comm(
         self,
-        messages: Union[Iterable[Message], MessageBatch],
+        messages: MessageBatch,
         level: int = 0,
         purpose: str = "ghost",
         count_as_balance: bool = False,
@@ -180,11 +180,10 @@ class ClusterSimulator:
 
         Link conditions are sampled at the current clock.  ``count_as_balance``
         attributes the elapsed time to :attr:`balance_overhead` (migration
-        traffic) on top of the regular comm accounting.  ``messages`` may be
-        a :class:`~repro.distsys.comm.MessageBatch` (the runner's vectorized
-        hot path) or any iterable of :class:`Message`; either way the
-        per-epoch routing tables are reused across the whole phase instead
-        of rebuilt per pair.
+        traffic) on top of the regular comm accounting.  ``messages`` must
+        be a :class:`~repro.distsys.comm.MessageBatch` (anything else raises
+        :class:`TypeError`); the per-epoch routing tables are reused across
+        the whole phase.
         """
         with self.tracer.span("comm", level=level, purpose=purpose) as span:
             result = comm_phase_time(self.system, messages, self.clock,

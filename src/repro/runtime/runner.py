@@ -21,7 +21,8 @@ from ..amr.integrator import IntegratorHooks, SAMRIntegrator, SubStep
 from ..amr.grid import Grid
 from ..amr.regrid import RegridParams, apply_cluster_boxes, plan_regrid
 from ..config import SchemeParams, SimParams
-from ..core.base import BalanceContext, DLBScheme
+from ..core.base import BalanceContext
+from ..core.composed import ComposedScheme
 from ..core.gain import WorkloadHistory
 from ..distsys.comm import MessageBatch, MessageKind
 from ..distsys.events import (
@@ -79,8 +80,8 @@ def _paired_batch(
     src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray, kind: MessageKind
 ) -> MessageBatch:
     """Two-way exchange batch: ``(src->dst, dst->src)`` per pair, interleaved
-    in the order the former per-pair loop appended its ``Message`` objects
-    (message order feeds order-sensitive bundling in the cost model)."""
+    pair by pair (message order feeds order-sensitive bundling in the cost
+    model)."""
     k = src.shape[0]
     s = np.empty(2 * k, dtype=np.int64)
     d = np.empty(2 * k, dtype=np.int64)
@@ -170,7 +171,7 @@ class SAMRRunner(IntegratorHooks):
         self,
         app,
         system: DistributedSystem,
-        scheme: DLBScheme,
+        scheme: ComposedScheme,
         blocks_per_axis: Optional[Sequence[int]] = None,
         dt0: float = 1.0,
         sim_params: Optional[SimParams] = None,

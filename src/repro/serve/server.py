@@ -93,6 +93,8 @@ class ServeServer:
                                    queue_size=queue_size, cache=cache,
                                    cache_dir=resolved_dir)
         self._server: Optional[asyncio.base_events.Server] = None
+        #: live connection handlers and their writers
+        self._connections: Dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
         self._shutdown_requested = asyncio.Event()
         self._force = False
         self._signals_seen = 0
@@ -154,10 +156,21 @@ class ServeServer:
         await self.close()
 
     async def close(self) -> None:
+        """Stop listening, close every live connection and wait for its
+        handler to finish.
+
+        A handler still running when the event loop shuts down would be
+        cancelled mid-``wait_closed`` and asyncio would log the cancelled
+        connection task as an error.
+        """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        for writer in self._connections.values():
+            writer.close()
+        if self._connections:
+            await asyncio.gather(*self._connections, return_exceptions=True)
         if self.socket_path is not None:
             try:
                 Path(self.socket_path).unlink()
@@ -185,6 +198,9 @@ class ServeServer:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -210,6 +226,8 @@ class ServeServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            finally:
+                del self._connections[task]
 
     async def _dispatch(self, line: bytes, writer: asyncio.StreamWriter) -> None:
         """Handle one request line; malformed input answers, never kills."""

@@ -10,8 +10,11 @@ from functools import partial
 
 import pytest
 
+import repro
 import repro.api as api
+import repro.core
 import repro.distsys
+import repro.distsys.comm
 from repro.api import (
     ExperimentConfig,
     replicate,
@@ -21,8 +24,13 @@ from repro.api import (
     run_sequential,
     run_sweep,
 )
-from repro.core.registry import get_scheme_spec, make_scheme
-from repro.distsys import build_system
+from repro.core.registry import (
+    SchemeSpec,
+    get_scheme_spec,
+    make_scheme,
+    register_scheme,
+)
+from repro.distsys import build_system, comm_phase_time, wan_spec
 
 EXPECTED_API = [
     # configuration
@@ -230,10 +238,33 @@ class TestRemovedCallForms:
                        name, id=f"distsys.{name}")
           for name in ("parallel_system", "lan_system", "wan_system",
                        "multi_site_system")),
+        pytest.param(
+            lambda: comm_phase_time(build_system(wan_spec(1)), [], 0.0),
+            TypeError, "MessageBatch", id="comm_phase_time-list"),
+        pytest.param(
+            lambda: register_scheme(SchemeSpec(name="removed-factory"),
+                                    lambda spec: make_scheme(spec)),
+            TypeError, "positional", id="register_scheme-factory"),
+        *(pytest.param(partial(getattr, module, name), AttributeError,
+                       name, id=f"{module.__name__}.{name}")
+          for module, names in (
+              (repro, ("DistributedDLB", "ParallelDLB", "StaticDLB",
+                       "DiffusionDLB")),
+              (repro.core, ("DistributedDLB", "ParallelDLB", "StaticDLB",
+                            "DiffusionDLB", "DLBScheme")),
+              (repro.distsys, ("Message",)),
+              (repro.distsys.comm, ("Message",)),
+          )
+          for name in names),
     ])
     def test_removed_form_raises(self, call, error, match):
         with pytest.raises(error, match=match):
             call()
+
+    def test_register_scheme_signature(self):
+        params = inspect.signature(register_scheme).parameters
+        assert list(params) == ["spec", "replace"]
+        assert params["replace"].kind is inspect.Parameter.KEYWORD_ONLY
 
     def test_build_system_signature(self):
         params = inspect.signature(build_system).parameters

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.config import SchemeParams, SimParams
@@ -53,3 +56,27 @@ class TestSchemeParams:
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             SchemeParams(**kw)
+
+
+class TestNaNRejected:
+    """``nan <= 0`` is false, so range checks alone let NaN through and
+    every comm/compute time computed from it would read NaN."""
+
+    @pytest.mark.parametrize("cls,field", [
+        *((SimParams, f.name) for f in dataclasses.fields(SimParams)),
+        *((SchemeParams, f.name) for f in dataclasses.fields(SchemeParams)),
+    ])
+    def test_every_field_rejects_nan(self, cls, field):
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            cls(**{field: math.nan})
+
+    @pytest.mark.parametrize("kw", [
+        {"gamma": math.inf},
+        {"gamma": 0.0},
+        {"imbalance_threshold": math.inf},
+    ])
+    def test_values_accepted_before_stay_accepted(self, kw):
+        SchemeParams(**kw)
+
+    def test_infinite_sim_params_stay_accepted(self):
+        SimParams(bytes_per_cell=math.inf, regrid_seconds_per_grid=math.inf)

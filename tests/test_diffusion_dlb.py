@@ -2,20 +2,28 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.amr.applications import ShockPool3D
-from repro.core import DiffusionDLB, DistributedDLB
+from repro.core import get_scheme_spec, make_scheme
 from repro.distsys import ConstantTraffic, build_system, wan_spec
 from repro.metrics.imbalance import imbalance_ratio
 from repro.runtime import SAMRRunner
 
 
+def diffusion(sweeps=1):
+    """The registered ``diffusion`` scheme with ``sweeps`` per opportunity."""
+    return make_scheme(replace(get_scheme_spec("diffusion"),
+                               options={"sweeps": sweeps}))
+
+
 class TestDiffusionTargets:
     def targets(self, loads, weights=None, sweeps=1):
-        scheme = DiffusionDLB(sweeps=sweeps)
+        scheme = diffusion(sweeps)
         w = weights or {pid: 1.0 for pid in loads}
-        return scheme._diffusion_targets(loads, w)
+        return scheme.local_policy._diffusion_targets(loads, w)
 
     def test_single_processor_identity(self):
         assert self.targets({0: 10.0}) == {0: 10.0}
@@ -50,14 +58,14 @@ class TestDiffusionTargets:
 
     def test_bad_sweeps_raise(self):
         with pytest.raises(ValueError):
-            DiffusionDLB(sweeps=0)
+            diffusion(sweeps=0)
 
 
 class TestDiffusionRuns:
     def run(self, steps=4, sweeps=1):
         app = ShockPool3D(domain_cells=16, max_levels=3)
         system = build_system(wan_spec(2, base_speed=2e4), traffic=ConstantTraffic(0.3))
-        return SAMRRunner(app, system, DiffusionDLB(sweeps=sweeps)).run(steps)
+        return SAMRRunner(app, system, diffusion(sweeps)).run(steps)
 
     def test_completes_and_balances(self):
         r = self.run()
@@ -79,23 +87,21 @@ class TestDiffusionRuns:
         app = ShockPool3D(domain_cells=16, max_levels=3)
         system = build_system(wan_spec(4, base_speed=2e4),
                               traffic=ConstantTraffic(0.45))
-        diff = SAMRRunner(app, system, DiffusionDLB()).run(5)
+        diff = SAMRRunner(app, system, make_scheme("diffusion")).run(5)
         app2 = ShockPool3D(domain_cells=16, max_levels=3)
         system2 = build_system(wan_spec(4, base_speed=2e4),
                                traffic=ConstantTraffic(0.45))
-        dist = SAMRRunner(app2, system2, DistributedDLB()).run(5)
+        dist = SAMRRunner(app2, system2, make_scheme("distributed")).run(5)
         assert diff.remote_bytes_by_kind.get("parent_child", 0.0) > 0.0
         assert dist.remote_bytes_by_kind.get("parent_child", 0.0) == 0.0
 
     def test_compute_balance_improves_over_static(self):
         """Diffusion does reduce compute imbalance relative to no DLB."""
-        from repro.core import StaticDLB
-
         app = ShockPool3D(domain_cells=16, max_levels=3)
         system = build_system(wan_spec(2, base_speed=2e4), traffic=ConstantTraffic(0.3))
-        static = SAMRRunner(app, system, StaticDLB()).run(5)
+        static = SAMRRunner(app, system, make_scheme("static")).run(5)
         app2 = ShockPool3D(domain_cells=16, max_levels=3)
         system2 = build_system(wan_spec(2, base_speed=2e4),
                                traffic=ConstantTraffic(0.3))
-        diff = SAMRRunner(app2, system2, DiffusionDLB()).run(5)
+        diff = SAMRRunner(app2, system2, make_scheme("diffusion")).run(5)
         assert diff.compute_time < static.compute_time

@@ -12,7 +12,7 @@ import pytest
 
 from repro import quick_run
 from repro.amr.applications import BlastWave, ShockPool3D
-from repro.core import DistributedDLB
+from repro.core import make_scheme
 from repro.distsys import ConstantTraffic, build_system, wan_spec
 from repro.distsys.events import GlobalDecisionEvent, RedistributionEvent
 from repro.harness import ExperimentConfig, run_experiment, run_paired
@@ -108,8 +108,8 @@ class TestSchemeDynamics:
         def system():
             return build_system(wan_spec(2, base_speed=2e4),
                                 traffic=ConstantTraffic(0.3))
-        blast = SAMRRunner(app, system(), DistributedDLB()).run(4)
-        moving = SAMRRunner(shock, system(), DistributedDLB()).run(4)
+        blast = SAMRRunner(app, system(), make_scheme("distributed")).run(4)
+        moving = SAMRRunner(shock, system(), make_scheme("distributed")).run(4)
         assert blast.redistributions <= moving.redistributions
 
     def test_redistribution_reduces_group_imbalance(self):
@@ -138,7 +138,7 @@ class TestSchemeDynamics:
 
         from repro.harness import make_app, make_system
 
-        Capture(make_app(cfg), make_system(cfg), DistributedDLB()).run(cfg.steps)
+        Capture(make_app(cfg), make_system(cfg), make_scheme("distributed")).run(cfg.steps)
         assert captured, "no redistribution fired"
         for before, after in captured:
             assert after < before

@@ -8,7 +8,7 @@ import pytest
 
 from repro.amr.applications import ShockPool3D
 from repro.config import FaultParams
-from repro.core import DistributedDLB, ParallelDLB
+from repro.core import make_scheme
 from repro.distsys import ConstantTraffic, FaultEvent, build_system, wan_spec
 from repro.distsys.events import ComputeEvent, EventLog, RedistributionEvent
 from repro.faults import (
@@ -274,7 +274,7 @@ class TestRunnerIntegration:
         sched = FaultSchedule(
             [SlowdownFault(group=1, start=2.0, end=8.0, factor=4.0)]
         )
-        runner = faulted_runner(DistributedDLB(), sched)
+        runner = faulted_runner(make_scheme("distributed"), sched)
         events = runner.sim.log.of_type(FaultEvent)
         assert [e.phase for e in events] == ["start", "end"]
         assert events[0].time == 2.0 and events[1].time == 8.0
@@ -284,7 +284,7 @@ class TestRunnerIntegration:
         sched = FaultSchedule(
             [SlowdownFault(group=1, start=2.0, end=8.0, factor=4.0)]
         )
-        runner = faulted_runner(ParallelDLB(), sched)
+        runner = faulted_runner(make_scheme("parallel"), sched)
         result = runner.result()
         assert result.faults == 2
         assert result.system == "2+2procs"
@@ -293,8 +293,8 @@ class TestRunnerIntegration:
         sched = FaultSchedule(
             [SlowdownFault(group=1, start=2.0, end=8.0, factor=4.0)]
         )
-        clean = faulted_runner(ParallelDLB(), None).result()
-        faulted = faulted_runner(ParallelDLB(), sched).result()
+        clean = faulted_runner(make_scheme("parallel"), None).result()
+        faulted = faulted_runner(make_scheme("parallel"), sched).result()
         assert faulted.total_time > clean.total_time
 
     def test_deterministic_repeats(self):
@@ -307,7 +307,7 @@ class TestRunnerIntegration:
         assert a.redistributions == b.redistributions
 
     def test_ideal_elapsed_recorded(self):
-        runner = faulted_runner(DistributedDLB(), None, steps=2)
+        runner = faulted_runner(make_scheme("distributed"), None, steps=2)
         phases = [
             e for e in runner.sim.log.of_type(ComputeEvent) if e.elapsed > 0
         ]

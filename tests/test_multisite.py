@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.amr.applications import ShockPool3D
-from repro.core import DistributedDLB, ParallelDLB
+from repro.core import make_scheme
 from repro.core.gain import WorkloadHistory, estimate_gain
 from repro.distsys import ConstantTraffic, build_system, multi_site_spec
 from repro.runtime import SAMRRunner
@@ -42,11 +42,11 @@ class TestThreeSiteRuns:
     @pytest.fixture(scope="class")
     def results(self):
         out = {}
-        for name, S in (("parallel", ParallelDLB), ("distributed", DistributedDLB)):
+        for name in ("parallel", "distributed"):
             app = ShockPool3D(domain_cells=16, max_levels=3)
             sys_ = build_system(multi_site_spec([2, 2, 2], base_speed=2e4),
                                 traffic=ConstantTraffic(0.3))
-            out[name] = SAMRRunner(app, sys_, S()).run(4)
+            out[name] = SAMRRunner(app, sys_, make_scheme(name)).run(4)
         return out
 
     def test_both_schemes_complete(self, results):

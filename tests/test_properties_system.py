@@ -14,7 +14,7 @@ from repro.amr.hierarchy import GridHierarchy
 from repro.amr.regrid import regrid_level
 from repro.core.gain import WorkloadHistory, estimate_gain
 from repro.distsys import ConstantTraffic, build_system, wan_spec
-from repro.distsys.comm import Message, MessageKind, comm_phase_time
+from repro.distsys.comm import MessageBatch, MessageKind, comm_phase_time
 from repro.runtime import root_blocks
 
 
@@ -95,12 +95,10 @@ class TestCommMonotonicity:
     @settings(max_examples=40, deadline=None)
     def test_more_bytes_never_faster(self, nbytes, extra):
         system = build_system(wan_spec(1), traffic=ConstantTraffic(0.2))
-        small = comm_phase_time(
-            system, [Message(0, 1, nbytes, MessageKind.SIBLING)], 0.0
-        )
-        large = comm_phase_time(
-            system, [Message(0, 1, nbytes + extra, MessageKind.SIBLING)], 0.0
-        )
+        def one(b):
+            return MessageBatch.of_kind([0], [1], [b], MessageKind.SIBLING)
+        small = comm_phase_time(system, one(nbytes), 0.0)
+        large = comm_phase_time(system, one(nbytes + extra), 0.0)
         assert large.elapsed >= small.elapsed - 1e-12
 
     @given(n=st.integers(min_value=1, max_value=16))
@@ -108,8 +106,9 @@ class TestCommMonotonicity:
     def test_more_pairs_never_faster(self, n):
         system = build_system(wan_spec(8), traffic=ConstantTraffic(0.2))
         def phase(k):
-            msgs = [Message(i % 8, 8 + (i % 8), 100.0, MessageKind.SIBLING)
-                    for i in range(k)]
+            src = [i % 8 for i in range(k)]
+            msgs = MessageBatch.of_kind(src, [8 + s for s in src],
+                                        [100.0] * k, MessageKind.SIBLING)
             return comm_phase_time(system, msgs, 0.0).elapsed
         assert phase(n) <= phase(n + 1) + 1e-12
 

@@ -18,7 +18,7 @@ import pytest
 from repro.amr.box import Box
 from repro.amr.hierarchy import GridHierarchy
 from repro.config import SchemeParams, SimParams
-from repro.core import DistributedDLB, ParallelDLB
+from repro.core import make_scheme
 from repro.core.base import BalanceContext
 from repro.core.gain import WorkloadHistory
 from repro.distsys import (
@@ -53,13 +53,13 @@ def make_ctx(blocks=(8, 1, 1), n=16, gamma=2.0):
 class TestParallelDLBPolicy:
     def test_initial_distribution_even(self):
         ctx = make_ctx()
-        ParallelDLB().initial_distribution(ctx)
+        make_scheme("parallel").initial_distribution(ctx)
         loads = ctx.assignment.level_loads(0)
         assert max(loads.values()) == pytest.approx(min(loads.values()))
 
     def test_new_grids_scatter_across_groups(self):
         ctx = make_ctx()
-        scheme = ParallelDLB()
+        scheme = make_scheme("parallel")
         scheme.initial_distribution(ctx)
         # create 8 children under a single group-0 parent
         parent = next(
@@ -78,7 +78,7 @@ class TestParallelDLBPolicy:
 
     def test_remote_placement_charged(self):
         ctx = make_ctx()
-        scheme = ParallelDLB()
+        scheme = make_scheme("parallel")
         scheme.initial_distribution(ctx)
         parent = next(
             g for g in ctx.hierarchy.level_grids(0)
@@ -93,7 +93,7 @@ class TestParallelDLBPolicy:
 
     def test_local_balance_uses_all_processors(self):
         ctx = make_ctx()
-        scheme = ParallelDLB()
+        scheme = make_scheme("parallel")
         scheme.initial_distribution(ctx)
         # skew everything onto pid 0
         for g in ctx.hierarchy.level_grids(0):
@@ -104,7 +104,7 @@ class TestParallelDLBPolicy:
 
     def test_global_balance_is_noop(self):
         ctx = make_ctx()
-        scheme = ParallelDLB()
+        scheme = make_scheme("parallel")
         scheme.initial_distribution(ctx)
         clock = ctx.sim.clock
         scheme.global_balance(ctx, 0.0)
@@ -115,7 +115,7 @@ class TestParallelDLBPolicy:
 class TestDistributedDLBPolicy:
     def test_initial_distribution_contiguous_by_group(self):
         ctx = make_ctx()
-        DistributedDLB().initial_distribution(ctx)
+        make_scheme("distributed").initial_distribution(ctx)
         # walking slabs along x, group id changes exactly once (contiguous)
         groups = [
             ctx.assignment.group_of(g.gid)
@@ -126,7 +126,7 @@ class TestDistributedDLBPolicy:
 
     def test_new_grids_stay_in_parent_group(self):
         ctx = make_ctx()
-        scheme = DistributedDLB()
+        scheme = make_scheme("distributed")
         scheme.initial_distribution(ctx)
         for parent in ctx.hierarchy.level_grids(0):
             child = ctx.hierarchy.add_grid(1, parent.box.refine(2), parent.gid)
@@ -138,7 +138,7 @@ class TestDistributedDLBPolicy:
 
     def test_local_balance_never_crosses_groups(self):
         ctx = make_ctx()
-        scheme = DistributedDLB()
+        scheme = make_scheme("distributed")
         scheme.initial_distribution(ctx)
         # skew group 0's grids onto its first processor
         g0_pids = ctx.system.groups[0].pids
@@ -162,7 +162,7 @@ class TestDistributedDLBPolicy:
 
     def test_global_balance_requires_history(self):
         ctx = make_ctx()
-        scheme = DistributedDLB()
+        scheme = make_scheme("distributed")
         scheme.initial_distribution(ctx)
         scheme.global_balance(ctx, 0.0)
         ev = ctx.sim.log.of_type(GlobalDecisionEvent)
@@ -171,7 +171,7 @@ class TestDistributedDLBPolicy:
 
     def _imbalanced_ctx(self, gamma):
         ctx = make_ctx(gamma=gamma)
-        scheme = DistributedDLB()
+        scheme = make_scheme("distributed")
         scheme.initial_distribution(ctx)
         # skew the actual level-0 ownership: 6 of 8 slabs on group 0
         slabs = sorted(ctx.hierarchy.level_grids(0), key=lambda g: g.box.lo)
@@ -192,7 +192,7 @@ class TestDistributedDLBPolicy:
         assert ev.imbalance_detected
         assert ev.invoked
         assert ctx.sim.log.of_type(RedistributionEvent)
-        assert scheme.cost_model.nmeasurements == 1  # delta recorded
+        assert scheme.decision_policy.cost_model.nmeasurements == 1  # delta recorded
 
     def test_gate_blocked_by_huge_gamma(self):
         ctx, scheme = self._imbalanced_ctx(gamma=1e9)
@@ -204,7 +204,7 @@ class TestDistributedDLBPolicy:
 
     def test_probe_runs_only_when_imbalanced(self):
         ctx = make_ctx()
-        scheme = DistributedDLB()
+        scheme = make_scheme("distributed")
         scheme.initial_distribution(ctx)
         # balanced history
         ctx.history.record_solve(0, {0: 10.0, 1: 10.0, 2: 10.0, 3: 10.0})
@@ -221,7 +221,7 @@ class TestDistributedDLBPolicy:
             hierarchy=h, assignment=GridAssignment(h, system), system=system,
             sim=ClusterSimulator(system), history=WorkloadHistory(),
         )
-        scheme = DistributedDLB()
+        scheme = make_scheme("distributed")
         scheme.initial_distribution(ctx)
         scheme.global_balance(ctx, 0.0)
         assert len(ctx.sim.log) == 0

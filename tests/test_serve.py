@@ -14,6 +14,7 @@ import asyncio
 import concurrent.futures
 import contextlib
 import json
+import logging
 import os
 import signal
 import socket
@@ -442,6 +443,31 @@ class TestShutdown:
                 time.sleep(0.05)
             statuses = [server.state.get(job_id).status for job_id in ids]
             assert all(s == "cancelled" for s in statuses), statuses
+
+    def test_close_with_a_live_connection_logs_no_error(self, tmp_path,
+                                                          caplog):
+        """A client still connected when the daemon closes: its handler
+        must finish inside ``close()``, not be cancelled at loop teardown
+        (which asyncio logs as an ERROR on its own logger)."""
+        sock = str(tmp_path / "live.sock")
+
+        async def amain():
+            server = ServeServer(socket_path=sock, workers=1, use_cache=False)
+            await server.start()
+            reader, writer = await asyncio.open_unix_connection(sock)
+            # one round trip: the connection's handler is now running
+            writer.write(b'{"op": "jobs"}\n')
+            assert json.loads(await reader.readline())["event"] == "jobs"
+            await server.close()
+            # the loop ends right after: a handler close() left running
+            # would be cancelled at teardown
+            writer.close()
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            asyncio.run(amain())
+        errors = [r for r in caplog.records
+                  if r.name == "asyncio" and r.levelno >= logging.ERROR]
+        assert errors == [], [r.getMessage() for r in errors]
 
 
 class TestPerJobTraceTracks:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.distsys.comm import Message, MessageKind
+from repro.distsys.comm import MessageBatch, MessageKind
 from repro.distsys.events import CommEvent, ComputeEvent, ProbeEvent
 from repro.distsys.simulator import (
     PROBE_LARGE_BYTES,
@@ -53,7 +53,7 @@ class TestRunCompute:
 class TestRunComm:
     def test_advances_clock_and_accounts(self):
         sim = ClusterSimulator(build_system(wan_spec(1), traffic=ConstantTraffic(0.0)))
-        msgs = [Message(0, 1, 1e6, MessageKind.MIGRATION)]
+        msgs = MessageBatch.of_kind([0], [1], [1e6], MessageKind.MIGRATION)
         r = sim.run_comm(msgs, purpose="migration", count_as_balance=True)
         assert sim.clock == pytest.approx(r.elapsed)
         assert sim.comm_time == pytest.approx(r.elapsed)
@@ -62,13 +62,13 @@ class TestRunComm:
 
     def test_not_balance_by_default(self):
         sim = ClusterSimulator(build_system(wan_spec(1)))
-        sim.run_comm([Message(0, 1, 100, MessageKind.SIBLING)])
+        sim.run_comm(MessageBatch.of_kind([0], [1], [100], MessageKind.SIBLING))
         assert sim.balance_overhead == 0.0
 
     def test_comm_event_logged(self):
         sim = ClusterSimulator(build_system(wan_spec(1)))
-        sim.run_comm([Message(0, 1, 100, MessageKind.SIBLING)], level=2,
-                     purpose="ghost")
+        sim.run_comm(MessageBatch.of_kind([0], [1], [100], MessageKind.SIBLING),
+                     level=2, purpose="ghost")
         ev = sim.log.of_type(CommEvent)[0]
         assert ev.level == 2
         assert ev.purpose == "ghost"

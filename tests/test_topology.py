@@ -40,7 +40,6 @@ from repro.distsys import (
 )
 from repro.distsys.comm import (
     CommGeometry,
-    Message,
     MessageBatch,
     MessageKind,
     comm_phase_time,
@@ -48,6 +47,7 @@ from repro.distsys.comm import (
 from repro.distsys.topology import degenerate_topology, resolve_topology
 from repro.distsys.traffic import ConstantTraffic
 from repro.faults.schedule import FaultSchedule, LinkDegradationFault
+from tests.test_comm import reference_phase_time
 
 
 def _spec_for(topo_spec: TopologySpec, nprocs: int = 1) -> SystemSpec:
@@ -212,8 +212,8 @@ class TestSharedEdgeContention:
         topo = system.topology
         spoke = topo.route(0, 1).links[0]   # g0 -- hub
         b1, b2 = 10_000.0, 30_000.0
-        msgs = [Message(0, 1, b1, MessageKind.SIBLING),
-                Message(0, 2, b2, MessageKind.SIBLING)]
+        msgs = MessageBatch.of_kind([0, 0], [1, 2], [b1, b2],
+                                    MessageKind.SIBLING)
         r = comm_phase_time(system, msgs, 0.0)
         shared_busy = (spoke.alpha(0.0) + 2 * spoke.per_message_overhead
                        + (b1 + b2) * spoke.beta(0.0))
@@ -227,7 +227,8 @@ class TestSharedEdgeContention:
         spoke1 = topo.route(1, 2).links[0]  # g1 -- hub
         nbytes = 5_000.0
         r = comm_phase_time(
-            system, [Message(1, 2, nbytes, MessageKind.SIBLING)], 0.0)
+            system,
+            MessageBatch.of_kind([1], [2], [nbytes], MessageKind.SIBLING), 0.0)
         busy = (spoke1.alpha(0.0) + spoke1.per_message_overhead
                 + nbytes * spoke1.beta(0.0))
         assert r.elapsed == pytest.approx(busy)
@@ -241,11 +242,11 @@ class TestSharedEdgeContention:
         src = [rng.randrange(12) for _ in range(n)]
         dst = [rng.randrange(12) for _ in range(n)]
         nbytes = [float(rng.randrange(1, 100_000)) for _ in range(n)]
-        msgs = [Message(s, d, b, MessageKind.SIBLING)
+        msgs = [(s, d, b, MessageKind.SIBLING)
                 for s, d, b in zip(src, dst, nbytes)]
         batch = MessageBatch.of_kind(src, dst, nbytes, MessageKind.SIBLING)
         geo = CommGeometry(system)
-        scalar = comm_phase_time(system, msgs, 0.5, geometry=geo)
+        scalar = reference_phase_time(system, msgs, 0.5)
         vector = comm_phase_time(system, batch, 0.5, geometry=geo)
         assert vector.elapsed == scalar.elapsed  # exact, not approx
         assert vector.remote_bytes == scalar.remote_bytes
